@@ -1,11 +1,11 @@
 """Counting representations of integers as two-term sums from fixed sequences.
 
 The package computes, for increasing integer sequences of uniform parity,
-how many ways each target splits into one term from each sequence, using
-incremental recursions over the sequences' counting functions.  Built-in
-problems cover prime pairs, prime plus prime-or-semiprime, doubled prime
-plus prime, two squares and two triangular numbers; everything is
-cross-checkable against a brute-force oracle.
+how many ways each target splits into one term from each sequence: by the
+paper's incremental recursion, or for the built-in problems (prime pairs,
+prime plus prime-or-semiprime, doubled prime plus prime, two squares, two
+triangular numbers) by one exact FFT convolution per series.  Everything
+is cross-checkable against a brute-force oracle.
 """
 
 from .applications import (
@@ -53,7 +53,6 @@ from .sequences import (
     make_sequence,
     odd_semiprime_count,
     odd_semiprime_flags,
-    odd_semiprime_prefix,
     odd_square_count,
     pi_hardy_wright,
     pronic_count,
@@ -98,7 +97,6 @@ __all__ = [
     "make_sequence",
     "odd_semiprime_count",
     "odd_semiprime_flags",
-    "odd_semiprime_prefix",
     "odd_square_count",
     "pi_hardy_wright",
     "pronic_count",

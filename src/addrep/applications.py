@@ -1,8 +1,8 @@
 """The built-in counting problems.
 
-Each function computes a whole series with the problem's specialized
-recursion, driven by sieve prefix tables or exact integer square roots
-rather than materialized sequences:
+Each function computes a whole series in one exact FFT convolution
+(``convolution.count_series``) over term arrays taken straight from the
+sieve or from closed forms:
 
 * ``goldbach``        g(2n): even 2n as two odd primes (A002375);
 * ``chen_odd_odd``    g1(2n): even 2n as an odd prime plus an odd prime
@@ -15,90 +15,58 @@ rather than materialized sequences:
 * ``two_triangular``  t(n): two triangular numbers (A052343); equals
                       two_squares term by term.
 
-Every problem also carries a generic-evaluator route and a brute-force
-route (see PROBLEMS) used for cross-verification.  Problems are
-independent of each other and safe to run in parallel.
+Every problem also carries two reference routes (see PROBLEMS): the
+paper's recursion (``RecursionEvaluator``) and brute-force enumeration.
+Problems are independent of each other and safe to run in parallel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .convolution import count_series
 from .oracle import brute_count_series
 from .recursion import CountSeries, EvaluatorKind, RecursionEvaluator
 from .sequences import (
+    DEFAULT_TABLE_CAP,
     Parity,
     ParitySequence,
     SequenceKind,
     SieveTables,
     build_sieve,
     ensure_tables,
-    even_square_count,
     make_sequence,
-    odd_semiprime_prefix,
-    odd_square_count,
-    pronic_count,
+    odd_semiprime_flags,
+    pronics_upto,
+    squares_upto,
 )
 
 
 def goldbach(n_max: int, tables: SieveTables | None = None) -> CountSeries:
-    """g(2n) for n = 1..n_max: even 2n as an unordered sum of two odd primes.
-
-    g(2n) = sum over odd primes p <= n of pi_odd(2n - p), minus
-    C(pi_odd(n), 2), minus all earlier values; g(2) = 0.
-    """
+    """g(2n) for n = 1..n_max: even 2n as an unordered sum of two odd primes."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tables = ensure_tables(tables, 2 * n_max)
-    pi1 = _odd_prime_prefix(tables)
-    odd_primes = tables.primes[tables.primes != 2]
-    values = [0]
-    tail = 0
-    for n in range(2, n_max + 1):
-        x = 2 * n
-        j = int(np.searchsorted(odd_primes, n, side="right"))
-        s = int(pi1[x - odd_primes[:j]].sum(dtype=np.int64))
-        v = s - math.comb(int(pi1[n]), 2) - tail
-        values.append(v)
-        tail += v
-    return CountSeries(2, values)
+    counts = count_series(EvaluatorKind.ODD_ODD, 2 * n_max, _odd_primes(tables))
+    return CountSeries(2, counts.tolist())
 
 
 def chen_odd_odd(n_max: int, tables: SieveTables | None = None) -> CountSeries:
     """g1(2n) for n = 1..n_max: even 2n as an odd prime plus an odd prime
-    or odd semiprime, unordered.
-
-    The step sums pi_odd(2n - t) over all terms t <= n of the combined
-    sequence plus pi_odd_semiprime(2n - p) over odd primes p <= n, and
-    subtracts pi_odd(n)*pi_odd_semiprime(n) + C(pi_odd(n), 2) and the
-    earlier values; g1(2) = 0.
-    """
+    or odd semiprime, unordered."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tables = ensure_tables(tables, 2 * n_max)
-    pi1 = _odd_prime_prefix(tables)
-    pi21 = odd_semiprime_prefix(tables, 2 * n_max)
-    odd_primes = tables.primes[tables.primes != 2]
-    odd_semis = _prefix_to_terms(pi21)
-    values = [0]
-    tail = 0
-    for n in range(2, n_max + 1):
-        x = 2 * n
-        jp = int(np.searchsorted(odd_primes, n, side="right"))
-        js = int(np.searchsorted(odd_semis, n, side="right"))
-        s1 = int(pi1[x - odd_primes[:jp]].sum(dtype=np.int64))
-        s1 += int(pi1[x - odd_semis[:js]].sum(dtype=np.int64))
-        s2 = int(pi21[x - odd_primes[:jp]].sum(dtype=np.int64))
-        p1n = int(pi1[n])
-        p21n = int(pi21[n])
-        v = s1 + s2 - p1n * p21n - math.comb(p1n, 2) - tail
-        values.append(v)
-        tail += v
-    return CountSeries(2, values)
+    odd_primes = _odd_primes(tables)
+    flags = odd_semiprime_flags(tables, 2 * n_max)
+    flags[odd_primes[odd_primes <= 2 * n_max]] = True
+    counts = count_series(
+        EvaluatorKind.ODD_ODD, 2 * n_max, odd_primes, np.flatnonzero(flags)
+    )
+    return CountSeries(2, counts.tolist())
 
 
 def chen_total(n_max: int, tables: SieveTables | None = None) -> CountSeries:
@@ -108,116 +76,65 @@ def chen_total(n_max: int, tables: SieveTables | None = None) -> CountSeries:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tables = ensure_tables(tables, 2 * n_max)
-    odd = chen_odd_odd(n_max, tables)
-    values = [
-        odd.values[n - 1] + _chen_even_even(n, tables)
-        for n in range(1, n_max + 1)
-    ]
-    return CountSeries(2, values)
-
-
-def _chen_even_even(n: int, tables: SieveTables) -> int:
-    return int(n - 1 == 1 or tables.is_prime(n - 1))
+    odd_odd = np.array(chen_odd_odd(n_max, tables).values)
+    m = np.arange(n_max)  # n - 1 for n = 1..n_max
+    even_even = tables.prime_flags[:n_max] | (m == 1)
+    return CountSeries(2, (odd_odd + even_even).tolist())
 
 
 def lemoine_levy(n_max: int, tables: SieveTables | None = None) -> CountSeries:
     """h(2n-1) for n = 1..n_max: odd 2n-1 as a doubled prime plus a prime.
 
-    h(2n-1) = sum over odd primes p <= n of pi(n - (p+1)/2), plus sum over
-    primes p <= n/2 of pi(2(n-p) - 1), minus pi(n)*pi(n//2) and the earlier
-    values; h(1) = 0.  The first sum runs over odd primes only: the prime
-    2 can never be the odd summand of an odd target.
+    The prime 2 can never be the odd summand of an odd target, so the
+    second sequence holds the odd primes only.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tables = ensure_tables(tables, 2 * n_max)
-    pi = tables.pi_prefix
-    primes = tables.primes
-    odd_primes = primes[primes != 2]
-    values = [0]
-    tail = 0
-    for n in range(2, n_max + 1):
-        x = 2 * n - 1
-        j1 = int(np.searchsorted(odd_primes, n, side="right"))
-        s1 = int(pi[(x - odd_primes[:j1]) // 2].sum(dtype=np.int64))
-        j2 = int(np.searchsorted(primes, n // 2, side="right"))
-        s2 = int(pi[x - 2 * primes[:j2]].sum(dtype=np.int64))
-        v = s1 + s2 - int(pi[n]) * int(pi[n // 2]) - tail
-        values.append(v)
-        tail += v
-    return CountSeries(1, values)
+    x_max = 2 * n_max - 1
+    tables = ensure_tables(tables, x_max)
+    counts = count_series(
+        EvaluatorKind.EVEN_ODD, x_max, 2 * tables.primes, _odd_primes(tables)
+    )
+    return CountSeries(1, counts.tolist())
 
 
 def two_squares(n_max: int) -> CountSeries:
     """h(4n+1) for n = 0..n_max: unordered sums of two squares (>= 0).
 
-    Counting functions are closed forms on exact integer square roots.
-    Targets 3 mod 4 admit no such sum (even^2 + odd^2 is 1 mod 4), so the
-    running tail only ever contains 1 mod 4 arguments; h(1) = 1.
+    An odd target is an even square plus an odd square, so this is the
+    even-odd count; targets 3 mod 4 (always 0) are dropped.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [1]
-    tail = 1
-    for n in range(1, n_max + 1):
-        x = 4 * n + 1
-        s = 0
-        k = 0
-        while 4 * k * k <= 2 * n:  # even squares u <= (x+1)/2
-            s += odd_square_count(x - 4 * k * k)
-            k += 1
-        k = 0
-        while (2 * k + 1) ** 2 <= 2 * n + 1:  # odd squares v <= (x+1)/2
-            s += even_square_count(x - (2 * k + 1) ** 2)
-            k += 1
-        half = 2 * n + 1
-        v = s - odd_square_count(half) * even_square_count(half) - tail
-        values.append(v)
-        tail += v
-    return CountSeries(1, values, step=4)
+    x_max = 4 * n_max + 1
+    counts = count_series(
+        EvaluatorKind.EVEN_ODD, x_max, squares_upto(x_max, 0), squares_upto(x_max, 1)
+    )
+    return CountSeries(1, counts[0::2].tolist(), step=4)
 
 
 def two_triangular(n_max: int) -> CountSeries:
-    """t(n) for n = 0..n_max: unordered sums of two triangular numbers.
-
-    Working with doubled triangulars (pronic numbers l = j(j+1), counted
-    by floor((1+isqrt(4x+1))/2)) the target is 2n and
-    t(n) = sum_{k=1..K} pronic_count(2n - k(k-1)) - C(K, 2) - earlier
-    values, where K = pronic_count(n); t(0) = 1.
-    """
+    """t(n) for n = 0..n_max: unordered sums of two triangular numbers,
+    counted as sums 2n of two doubled triangulars (pronic numbers j(j+1))."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [1]
-    tail = 1
-    for n in range(1, n_max + 1):
-        K = pronic_count(n)
-        s = sum(pronic_count(2 * n - k * (k - 1)) for k in range(1, K + 1))
-        v = s - math.comb(K, 2) - tail
-        values.append(v)
-        tail += v
-    return CountSeries(0, values)
+    counts = count_series(EvaluatorKind.EVEN_EVEN, 2 * n_max, pronics_upto(2 * n_max))
+    return CountSeries(0, counts.tolist())
 
 
-def _odd_prime_prefix(tables: SieveTables) -> np.ndarray:
-    pi1 = tables.pi_prefix.astype(np.int32, copy=True)
-    if pi1.size > 2:
-        pi1[2:] -= 1
-    return pi1
-
-
-def _prefix_to_terms(prefix: np.ndarray) -> np.ndarray:
-    flags = np.empty(prefix.size, dtype=bool)
-    flags[0] = prefix[0] > 0
-    flags[1:] = prefix[1:] > prefix[:-1]
-    return np.flatnonzero(flags)
+def _odd_primes(tables: SieveTables) -> np.ndarray:
+    return tables.primes[1:]  # primes[0] is 2 whenever any prime exists
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A named problem: its recursion, argument convention and check routes."""
+    """A named problem: its engine route, argument convention and check routes.
+
+    A ``sieved`` problem's ``compute`` also takes sieve tables covering
+    ``x_of_n(n_max)``; ``run`` builds them under a caller's table cap.
+    """
 
     name: str
-    kind: EvaluatorKind
     oeis: str | None
     n_start: int
     x_base: int
@@ -226,9 +143,16 @@ class ProblemSpec:
     compute: Callable[[int], CountSeries]
     evaluator_series: Callable[[int], list[int]]
     oracle_series: Callable[[int], list[int]]
+    sieved: bool = False
 
     def x_of_n(self, n: int) -> int:
         return self.x_base + self.x_step * (n - self.n_start)
+
+    def run(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> CountSeries:
+        """``compute(n_max)`` with any sieve it needs limited to ``cap`` entries."""
+        if self.sieved:
+            return self.compute(n_max, build_sieve(self.x_of_n(n_max), cap))
+        return self.compute(n_max)
 
 
 def _evaluator_values(kind, seq_a, seq_b, x_max) -> list[int]:
@@ -363,7 +287,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
     for spec in (
         ProblemSpec(
             name="goldbach",
-            kind=EvaluatorKind.ODD_ODD,
             oeis="A002375",
             n_start=1,
             x_base=2,
@@ -372,10 +295,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
             compute=goldbach,
             evaluator_series=_goldbach_evaluator,
             oracle_series=_goldbach_oracle,
+            sieved=True,
         ),
         ProblemSpec(
             name="chen-odd-odd",
-            kind=EvaluatorKind.ODD_ODD,
             oeis=None,
             n_start=1,
             x_base=2,
@@ -384,10 +307,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
             compute=chen_odd_odd,
             evaluator_series=_chen_evaluator,
             oracle_series=_chen_oracle,
+            sieved=True,
         ),
         ProblemSpec(
             name="chen-total",
-            kind=EvaluatorKind.ODD_ODD,
             oeis=None,
             n_start=1,
             x_base=2,
@@ -396,10 +319,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
             compute=chen_total,
             evaluator_series=_chen_total_evaluator,
             oracle_series=_chen_total_oracle,
+            sieved=True,
         ),
         ProblemSpec(
             name="lemoine-levy",
-            kind=EvaluatorKind.EVEN_ODD,
             oeis="A046927",
             n_start=1,
             x_base=1,
@@ -408,10 +331,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
             compute=lemoine_levy,
             evaluator_series=_lemoine_evaluator,
             oracle_series=_lemoine_oracle,
+            sieved=True,
         ),
         ProblemSpec(
             name="two-squares",
-            kind=EvaluatorKind.EVEN_ODD,
             oeis=None,
             n_start=0,
             x_base=1,
@@ -423,7 +346,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         ),
         ProblemSpec(
             name="two-triangular",
-            kind=EvaluatorKind.EVEN_EVEN,
             oeis="A052343",
             n_start=0,
             x_base=0,

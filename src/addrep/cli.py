@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     SequenceFormatError,
 )
 from .oracle import brute_count_series
-from .recursion import EvaluatorKind, RecursionEvaluator
+from .recursion import _PARITIES, EvaluatorKind, RecursionEvaluator
 from .sequences import DEFAULT_TABLE_CAP, Parity, load_sequence
 
 EXIT_OK = 0
@@ -139,11 +140,7 @@ def _check_table_budget(needed: int, cap: int) -> None:
         )
 
 
-_KIND_BY_PARITY = {
-    (Parity.ODD, Parity.ODD): EvaluatorKind.ODD_ODD,
-    (Parity.EVEN, Parity.EVEN): EvaluatorKind.EVEN_EVEN,
-    (Parity.EVEN, Parity.ODD): EvaluatorKind.EVEN_ODD,
-}
+_KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
 
 
 def _custom_evaluator(cfg: RunConfig) -> tuple[RecursionEvaluator, int]:
@@ -183,12 +180,13 @@ def _compute_rows(cfg: RunConfig):
             f"# custom {ev.kind.value} recursion; lines are 'x a(x)' for the target x",
             f"# seq-a: {cfg.seq_a}  seq-b: {cfg.seq_b}",
         ]
-        return series.items(), header, {"problem": "custom", "kind": ev.kind.value}
+        rows = zip(series.arguments(), series.values)
+        return rows, header, {"problem": "custom", "kind": ev.kind.value}
     spec = PROBLEMS[cfg.problem]
     n_max = _require_n_max(cfg, spec.n_start)
     _check_table_budget(max(spec.x_of_n(n_max), 0), cfg.table_cap)
-    series = spec.compute(n_max)
-    rows = list(zip(range(spec.n_start, n_max + 1), series.values))
+    series = spec.run(n_max, cfg.table_cap)
+    rows = zip(range(spec.n_start, n_max + 1), series.values)
     header = [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"]
     if spec.oeis:
         header.append(f"# cross-reference: OEIS {spec.oeis}")
@@ -220,12 +218,17 @@ def write_json(fh, rows, meta) -> None:
 def read_bfile(path) -> list[tuple[int, int]]:
     """Parse 'n a(n)' lines, skipping blanks and '#' comments."""
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        n_str, v_str = line.split()
-        rows.append((int(n_str), int(v_str)))
+        try:
+            n_str, v_str = line.split()
+            rows.append((int(n_str), int(v_str)))
+        except ValueError:
+            raise SequenceFormatError(
+                f"{path}:{lineno}: expected 'n a(n)', got {line!r}"
+            ) from None
     return rows
 
 
@@ -233,9 +236,18 @@ def cmd_compute(cfg: RunConfig) -> int:
     rows, header, meta = _compute_rows(cfg)
     if cfg.output_path == "-":
         _write_rows(sys.stdout, cfg.output_format, rows, header, meta)
-    else:
-        with open(cfg.output_path, "w") as fh:
+        return EXIT_OK
+    # Write beside the target and rename over it, so that a failed or
+    # interrupted run leaves no partial file and any older file intact.
+    tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
             _write_rows(fh, cfg.output_format, rows, header, meta)
+        os.replace(tmp, cfg.output_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return EXIT_OK
 
 
@@ -261,10 +273,11 @@ def cmd_verify(cfg: RunConfig) -> int:
             role_tagged=ev.kind is EvaluatorKind.EVEN_ODD,
             base=series.base,
         )
-        labelled = [
+        labelled = (
             (f"x={x}", got, want)
-            for (x, got), want in zip(series.items(), oracle.values)
-        ]
+            for x, got, want in zip(series.arguments(), series.values, oracle.values)
+        )
+        terms = len(series)
         title = f"custom {ev.kind.value}"
     else:
         spec = PROBLEMS[cfg.problem]
@@ -275,14 +288,15 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f"n-max {n_max} reaches x {x_last}, beyond --oracle-cap {cfg.oracle_cap}"
             )
         _check_table_budget(max(x_last, 0), cfg.table_cap)
-        got_values = spec.compute(n_max).values
+        got_values = spec.run(n_max, cfg.table_cap).values
         want_values = spec.oracle_series(n_max)
-        labelled = [
+        labelled = (
             (f"n={n} x={spec.x_of_n(n)}", got, want)
             for n, got, want in zip(
                 range(spec.n_start, n_max + 1), got_values, want_values
             )
-        ]
+        )
+        terms = len(got_values)
         title = spec.name
     for label, got, want in labelled:
         if got != want:
@@ -293,7 +307,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
             return EXIT_MISMATCH
         print(f"PASS {title} {label} count={got}")
-    print(f"PASS {title}: all {len(labelled)} terms match the brute-force oracle")
+    print(f"PASS {title}: all {terms} terms match the brute-force oracle")
     return EXIT_OK
 
 
@@ -322,7 +336,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     print(header)
     for n in _bench_steps(spec.n_start, n_max):
         t0 = time.perf_counter()
-        series = spec.compute(n)
+        values = spec.evaluator_series(n)
         t_rec = time.perf_counter() - t0
         if spec.x_of_n(n) <= cfg.oracle_cap:
             t0 = time.perf_counter()
@@ -332,7 +346,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             t_orc = ""
         row = f"{n},{t_rec:.6f},{t_orc}"
         if lemma_column:
-            ok = series.values == two_triangular(n).values
+            ok = values == two_triangular(n).values
             row += f",{'OK' if ok else 'FAIL'}"
         print(row)
     return EXIT_OK

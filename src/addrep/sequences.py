@@ -118,10 +118,6 @@ class ParitySequence:
 
     __contains__ = contains
 
-    @property
-    def first_term(self):
-        return self.terms[0] if self.terms else None
-
     def is_subset_of(self, other: "ParitySequence") -> bool:
         if self.limit > other.limit:
             raise LimitMismatchError(
@@ -175,13 +171,6 @@ class SieveTables:
     def pi_odd(self, x: int) -> int:
         """Number of odd primes <= x."""
         return self.pi(x) - (1 if x >= 2 else 0)
-
-    def is_prime(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n > self.limit:
-            raise LimitExceededError(f"primality of {n} unknown beyond {self.limit}")
-        return bool(self.prime_flags[n])
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
@@ -257,11 +246,6 @@ def odd_semiprime_flags(tables: SieveTables, limit: int | None = None) -> np.nda
     return flags
 
 
-def odd_semiprime_prefix(tables: SieveTables, limit: int | None = None) -> np.ndarray:
-    """Prefix table for the odd-semiprime counting function."""
-    return np.cumsum(odd_semiprime_flags(tables, limit), dtype=np.int32)
-
-
 def odd_square_count(x: int) -> int:
     """#{odd k >= 1 : k*k <= x} = floor((isqrt(x)+1)/2)."""
     return 0 if x < 0 else (math.isqrt(x) + 1) // 2
@@ -305,11 +289,11 @@ def make_sequence(
     if kind is SequenceKind.ALL_EVEN:
         return ParitySequence(range(0, limit + 1, 2), Parity.EVEN, limit)
     if kind is SequenceKind.ODD_SQUARES:
-        return ParitySequence(_squares_upto(limit, start=1), Parity.ODD, limit)
+        return ParitySequence(squares_upto(limit, start=1), Parity.ODD, limit)
     if kind is SequenceKind.EVEN_SQUARES:
-        return ParitySequence(_squares_upto(limit, start=0), Parity.EVEN, limit)
+        return ParitySequence(squares_upto(limit, start=0), Parity.EVEN, limit)
     if kind is SequenceKind.PRONIC:
-        return ParitySequence(_pronic_upto(limit), Parity.EVEN, limit)
+        return ParitySequence(pronics_upto(limit), Parity.EVEN, limit)
 
     tables = ensure_tables(tables, limit)
     primes = tables.primes[tables.primes <= limit]
@@ -341,22 +325,16 @@ def ensure_tables(tables: SieveTables | None, limit: int) -> SieveTables:
     return tables
 
 
-def _squares_upto(limit: int, start: int) -> list[int]:
-    out = []
-    k = start
-    while k * k <= limit:
-        out.append(k * k)
-        k += 2
-    return out
+def squares_upto(limit: int, start: int) -> np.ndarray:
+    """The squares k*k <= limit for k = start, start+2, ... (int64)."""
+    roots = np.arange(start, math.isqrt(limit) + 1, 2, dtype=np.int64)
+    return roots * roots
 
 
-def _pronic_upto(limit: int) -> list[int]:
-    out = []
-    j = 0
-    while j * (j + 1) <= limit:
-        out.append(j * (j + 1))
-        j += 1
-    return out
+def pronics_upto(limit: int) -> np.ndarray:
+    """The pronic numbers j*(j+1) <= limit for j >= 0 (int64)."""
+    j = np.arange(pronic_count(limit), dtype=np.int64)
+    return j * (j + 1)
 
 
 def _custom_sequence(terms: list[int], parity: Parity | None, limit: int) -> ParitySequence:

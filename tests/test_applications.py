@@ -96,6 +96,16 @@ def test_recursion_equals_evaluator_and_oracle(name):
     assert fast == spec.oracle_series(n_max)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_first_terms_agree_on_every_route(name, offset):
+    spec = PROBLEMS[name]
+    n_max = spec.n_start + offset
+    fast = spec.compute(n_max).values
+    assert fast == spec.evaluator_series(n_max) == spec.oracle_series(n_max)
+    assert spec.run(n_max).values == fast
+
+
 def test_shared_tables_are_accepted():
     tables = build_sieve(400)
     assert applications.goldbach(120, tables).values == applications.goldbach(120).values

@@ -202,3 +202,65 @@ def test_bench_two_squares_bijection_column(capsys):
 
 def test_bench_rejects_custom(capsys):
     assert main(["bench", "--problem", "custom"]) == EXIT_USAGE
+
+
+# --- robustness -------------------------------------------------------------------
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    import addrep.cli as cli
+
+    def failing_writer(fh, rows, header_lines):
+        fh.write(header_lines[0] + "\n")
+        for n, v in rows:
+            fh.write(f"{n} {v}\n")
+            if n == 10:
+                raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_bfile", failing_writer)
+    fresh = tmp_path / "fresh.txt"
+    argv = ["compute", "--problem", "goldbach", "--n-max", "30", "--out"]
+    assert main(argv + [str(fresh)]) == EXIT_USAGE
+    assert not fresh.exists()
+
+    kept = tmp_path / "kept.txt"
+    kept.write_text("1 0\n")
+    assert main(argv + [str(kept)]) == EXIT_USAGE
+    assert kept.read_text() == "1 0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+
+def test_limit_option_reaches_the_sieve(monkeypatch, capsys):
+    import addrep.applications as applications
+    from addrep.errors import ResourceBudgetError
+
+    seen = []
+
+    def spy(limit, cap):
+        seen.append((limit, cap))
+        raise ResourceBudgetError("stopped before allocating")
+
+    monkeypatch.setattr(applications, "build_sieve", spy)
+    code = main(["compute", "--problem", "goldbach", "--n-max", "30000000",
+                 "--limit", "100000000"])
+    assert code == EXIT_RESOURCE
+    assert seen == [(60_000_000, 100_000_000)]
+
+
+def test_rounding_guard_exits_with_resource_code(monkeypatch, capsys):
+    import numpy as np
+
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    code = main(["compute", "--problem", "goldbach", "--n-max", "30"])
+    assert code == EXIT_RESOURCE
+    assert "away from an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["5", "5 6 7", "5 x"])
+def test_read_bfile_reports_malformed_line(tmp_path, line):
+    from addrep.errors import SequenceFormatError
+
+    path = tmp_path / "b.txt"
+    path.write_text(f"# header\n1 0\n{line}\n")
+    with pytest.raises(SequenceFormatError, match=rf"b\.txt:3: "):
+        read_bfile(path)
