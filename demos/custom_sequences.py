@@ -40,7 +40,7 @@ def main():
     odd_a = ParitySequence([1, 3, 7, 13, 19, 27, 31], Parity.ODD, LIMIT)
     odd_b = ParitySequence([3, 5, 7, 11, 21, 27, 45], Parity.ODD, LIMIT)
     show("two odd sequences", EvaluatorKind.ODD_ODD, odd_a, odd_b, LIMIT)
-    print("  shared terms:", list(intersect(odd_a, odd_b).terms))
+    print("  shared terms:", intersect(odd_a, odd_b).terms.tolist())
 
     even_a = ParitySequence([0, 2, 8, 12, 24, 40], Parity.EVEN, LIMIT)
     even_b = ParitySequence([0, 4, 8, 20, 24, 36], Parity.EVEN, LIMIT)

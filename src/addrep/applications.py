@@ -16,20 +16,22 @@ sieve or from closed forms:
                       two_squares term by term.
 
 Every problem also carries two reference routes (see PROBLEMS): the
-paper's recursion (``RecursionEvaluator``) and brute-force enumeration.
+paper's recursion (``RecursionEvaluator``) and brute-force enumeration,
+both run by ``reference_series`` over the problem's ``parts``.
 Problems are independent of each other and safe to run in parallel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .convolution import count_series
 from .oracle import brute_count_series
-from .recursion import CountSeries, EvaluatorKind, RecursionEvaluator
+from .recursion import _BASES, CountSeries, EvaluatorKind, RecursionEvaluator
 from .sequences import (
     DEFAULT_TABLE_CAP,
     Parity,
@@ -126,12 +128,46 @@ def _odd_primes(tables: SieveTables) -> np.ndarray:
     return tables.primes[1:]  # primes[0] is 2 whenever any prime exists
 
 
+# A sequence builder takes (limit, sieve tables or None).
+Builder = Callable[[int, SieveTables | None], ParitySequence]
+
+# One part of a problem's reference routes: its evaluator kind, the
+# builders of its two sequences, and the oracle's second sequence where it
+# differs.  A problem's count is the sum of its parts' counts.
+Part = tuple[EvaluatorKind, Builder, Builder, Builder | None]
+
+
+def _built_in(kind: SequenceKind) -> Builder:
+    return lambda limit, tables: make_sequence(kind, limit, tables=tables)
+
+
+def _two(limit: int, tables) -> ParitySequence:
+    return ParitySequence([2], Parity.EVEN, limit)
+
+
+def _two_and_doubled_primes(limit: int, tables) -> ParitySequence:
+    # The even terms that are prime or semiprime: 2 and 2p (2p >= 4 > 2).
+    doubled = make_sequence(SequenceKind.DOUBLED_PRIMES, limit, tables=tables)
+    return ParitySequence(np.concatenate(([2], doubled.terms)), Parity.EVEN, limit)
+
+
+_ODD_PRIMES = _built_in(SequenceKind.ODD_PRIMES)
+_PRIMES = _built_in(SequenceKind.PRIMES)
+_PRIME_OR_ODD_SEMIPRIME = _built_in(SequenceKind.PRIME_OR_ODD_SEMIPRIME)
+_DOUBLED_PRIMES = _built_in(SequenceKind.DOUBLED_PRIMES)
+_EVEN_SQUARES = _built_in(SequenceKind.EVEN_SQUARES)
+_ODD_SQUARES = _built_in(SequenceKind.ODD_SQUARES)
+_PRONIC = _built_in(SequenceKind.PRONIC)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A named problem: its engine route, argument convention and check routes.
 
     A ``sieved`` problem's ``compute`` also takes sieve tables covering
     ``x_of_n(n_max)``; ``run`` builds them under a caller's table cap.
+    ``evaluator_series`` and ``oracle_series`` default to the generic
+    reference routes over ``parts``.
     """
 
     name: str
@@ -141,9 +177,17 @@ class ProblemSpec:
     x_step: int
     argument_desc: str
     compute: Callable[[int], CountSeries]
-    evaluator_series: Callable[[int], list[int]]
-    oracle_series: Callable[[int], list[int]]
+    parts: tuple[Part, ...]
     sieved: bool = False
+    evaluator_series: Callable[[int], list[int]] | None = None
+    oracle_series: Callable[[int], list[int]] | None = None
+
+    def __post_init__(self):
+        for route, oracle in (("evaluator_series", False), ("oracle_series", True)):
+            if getattr(self, route) is None:
+                object.__setattr__(
+                    self, route, partial(reference_series, self, oracle=oracle)
+                )
 
     def x_of_n(self, n: int) -> int:
         return self.x_base + self.x_step * (n - self.n_start)
@@ -155,131 +199,31 @@ class ProblemSpec:
         return self.compute(n_max)
 
 
-def _evaluator_values(kind, seq_a, seq_b, x_max) -> list[int]:
-    return list(RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max).values)
+def reference_series(spec: ProblemSpec, n_max: int, oracle: bool = False) -> list[int]:
+    """a(n) for n = n_start..n_max by the paper's recursion, or by brute force.
 
-
-def _oracle_values(seq_a, seq_b, x_max, role_tagged=False, base=None) -> list[int]:
-    return list(
-        brute_count_series(seq_a, seq_b, x_max, role_tagged=role_tagged, base=base).values
-    )
-
-
-def _goldbach_pair(n_max: int):
-    limit = 2 * n_max
-    tables = build_sieve(limit)
-    seq = make_sequence(SequenceKind.ODD_PRIMES, limit, tables=tables)
-    return seq, seq
-
-
-def _goldbach_evaluator(n_max: int) -> list[int]:
-    a, b = _goldbach_pair(n_max)
-    return _evaluator_values(EvaluatorKind.ODD_ODD, a, b, 2 * n_max)
-
-
-def _goldbach_oracle(n_max: int) -> list[int]:
-    a, b = _goldbach_pair(n_max)
-    return _oracle_values(a, b, 2 * n_max)
-
-
-def _chen_pair(n_max: int, tables=None):
-    limit = 2 * n_max
-    tables = ensure_tables(tables, limit)
-    s = make_sequence(SequenceKind.ODD_PRIMES, limit, tables=tables)
-    t = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, limit, tables=tables)
-    return s, t
-
-
-def _chen_evaluator(n_max: int) -> list[int]:
-    s, t = _chen_pair(n_max)
-    return _evaluator_values(EvaluatorKind.ODD_ODD, s, t, 2 * n_max)
-
-
-def _chen_oracle(n_max: int) -> list[int]:
-    s, t = _chen_pair(n_max)
-    return _oracle_values(s, t, 2 * n_max)
-
-
-def _chen_even_pair(n_max: int, tables=None):
-    # Even summands of "prime" and "prime or semiprime": {2} and {2} + 2P.
-    limit = 2 * n_max
-    tables = ensure_tables(tables, limit)
-    doubled = make_sequence(SequenceKind.DOUBLED_PRIMES, limit, tables=tables)
-    le = ParitySequence([2], Parity.EVEN, limit)
-    me = ParitySequence(sorted({2, *doubled.terms}), Parity.EVEN, limit)
-    return le, me
-
-
-def _chen_total_evaluator(n_max: int) -> list[int]:
-    tables = build_sieve(2 * n_max)
-    s, t = _chen_pair(n_max, tables)
-    le, me = _chen_even_pair(n_max, tables)
-    odd_part = _evaluator_values(EvaluatorKind.ODD_ODD, s, t, 2 * n_max)
-    even_part = _evaluator_values(EvaluatorKind.EVEN_EVEN, le, me, 2 * n_max)
-    return [odd_part[n - 1] + even_part[n] for n in range(1, n_max + 1)]
-
-
-def _chen_total_oracle(n_max: int) -> list[int]:
-    tables = build_sieve(2 * n_max)
-    s, t = _chen_pair(n_max, tables)
-    le, me = _chen_even_pair(n_max, tables)
-    odd_part = _oracle_values(s, t, 2 * n_max)
-    even_part = _oracle_values(le, me, 2 * n_max)
-    return [odd_part[n - 1] + even_part[n] for n in range(1, n_max + 1)]
-
-
-def _lemoine_evaluator(n_max: int) -> list[int]:
-    # The evaluator route uses odd primes for the odd role; the prime 2
-    # cannot appear as the odd summand, so the counts are unchanged.
-    limit = 2 * n_max
-    tables = build_sieve(limit)
-    u = make_sequence(SequenceKind.DOUBLED_PRIMES, limit, tables=tables)
-    v = make_sequence(SequenceKind.ODD_PRIMES, limit, tables=tables)
-    return _evaluator_values(EvaluatorKind.EVEN_ODD, u, v, 2 * n_max - 1)
-
-
-def _lemoine_oracle(n_max: int) -> list[int]:
-    # The brute-force route keeps the published binding with all primes.
-    limit = 2 * n_max
-    tables = build_sieve(limit)
-    u = make_sequence(SequenceKind.DOUBLED_PRIMES, limit, tables=tables)
-    v = make_sequence(SequenceKind.PRIMES, limit, tables=tables)
-    return _oracle_values(u, v, 2 * n_max - 1, role_tagged=True, base=1)
-
-
-def _square_pair(n_max: int):
-    limit = 4 * n_max + 1
-    u = make_sequence(SequenceKind.EVEN_SQUARES, limit)
-    v = make_sequence(SequenceKind.ODD_SQUARES, limit)
-    return u, v
-
-
-def _two_squares_evaluator(n_max: int) -> list[int]:
-    u, v = _square_pair(n_max)
-    full = _evaluator_values(EvaluatorKind.EVEN_ODD, u, v, 4 * n_max + 1)
-    return full[0::2]  # keep targets 1 mod 4
-
-
-def _two_squares_oracle(n_max: int) -> list[int]:
-    u, v = _square_pair(n_max)
-    full = _oracle_values(u, v, 4 * n_max + 1, role_tagged=True, base=1)
-    return full[0::2]
-
-
-def _pronic_pair(n_max: int):
-    limit = 2 * n_max
-    seq = make_sequence(SequenceKind.PRONIC, limit)
-    return seq, seq
-
-
-def _two_triangular_evaluator(n_max: int) -> list[int]:
-    a, b = _pronic_pair(n_max)
-    return _evaluator_values(EvaluatorKind.EVEN_EVEN, a, b, 2 * n_max)
-
-
-def _two_triangular_oracle(n_max: int) -> list[int]:
-    a, b = _pronic_pair(n_max)
-    return _oracle_values(a, b, 2 * n_max)
+    Each part's series runs over every target of its kind's lattice up to
+    ``x_of_n(n_max)``; the problem's terms read the parts' sums at x_of_n(n).
+    """
+    x_max = spec.x_of_n(n_max)
+    tables = build_sieve(x_max) if spec.sieved else None
+    ns = range(spec.n_start, n_max + 1)
+    totals = [0] * len(ns)
+    for kind, make_a, make_b, make_oracle_b in spec.parts:
+        if oracle and make_oracle_b:
+            make_b = make_oracle_b
+        seq_a = make_a(x_max, tables)
+        seq_b = seq_a if make_b is make_a else make_b(x_max, tables)
+        if oracle:
+            series = brute_count_series(
+                seq_a, seq_b, x_max,
+                role_tagged=kind is EvaluatorKind.EVEN_ODD, base=_BASES[kind],
+            )
+        else:
+            series = RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max)
+        for i, n in enumerate(ns):
+            totals[i] += series.value_at(spec.x_of_n(n))
+    return totals
 
 
 PROBLEMS: dict[str, ProblemSpec] = {
@@ -293,8 +237,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
             x_step=2,
             argument_desc="a(n) counts decompositions of x = 2*n, n >= 1",
             compute=goldbach,
-            evaluator_series=_goldbach_evaluator,
-            oracle_series=_goldbach_oracle,
+            parts=((EvaluatorKind.ODD_ODD, _ODD_PRIMES, _ODD_PRIMES, None),),
             sieved=True,
         ),
         ProblemSpec(
@@ -305,8 +248,9 @@ PROBLEMS: dict[str, ProblemSpec] = {
             x_step=2,
             argument_desc="a(n) counts odd-odd decompositions of x = 2*n, n >= 1",
             compute=chen_odd_odd,
-            evaluator_series=_chen_evaluator,
-            oracle_series=_chen_oracle,
+            parts=(
+                (EvaluatorKind.ODD_ODD, _ODD_PRIMES, _PRIME_OR_ODD_SEMIPRIME, None),
+            ),
             sieved=True,
         ),
         ProblemSpec(
@@ -317,8 +261,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
             x_step=2,
             argument_desc="a(n) counts all decompositions of x = 2*n, n >= 1",
             compute=chen_total,
-            evaluator_series=_chen_total_evaluator,
-            oracle_series=_chen_total_oracle,
+            parts=(
+                (EvaluatorKind.ODD_ODD, _ODD_PRIMES, _PRIME_OR_ODD_SEMIPRIME, None),
+                (EvaluatorKind.EVEN_EVEN, _two, _two_and_doubled_primes, None),
+            ),
             sieved=True,
         ),
         ProblemSpec(
@@ -329,8 +275,9 @@ PROBLEMS: dict[str, ProblemSpec] = {
             x_step=2,
             argument_desc="a(n) counts decompositions of x = 2*n - 1, n >= 1",
             compute=lemoine_levy,
-            evaluator_series=_lemoine_evaluator,
-            oracle_series=_lemoine_oracle,
+            # 2 is never the odd summand of an odd target, so the recursion
+            # may use the odd primes; the oracle keeps all primes.
+            parts=((EvaluatorKind.EVEN_ODD, _DOUBLED_PRIMES, _ODD_PRIMES, _PRIMES),),
             sieved=True,
         ),
         ProblemSpec(
@@ -341,8 +288,8 @@ PROBLEMS: dict[str, ProblemSpec] = {
             x_step=4,
             argument_desc="a(n) counts decompositions of x = 4*n + 1, n >= 0",
             compute=two_squares,
-            evaluator_series=_two_squares_evaluator,
-            oracle_series=_two_squares_oracle,
+            # Every odd target, of which the series keeps those 1 mod 4.
+            parts=((EvaluatorKind.EVEN_ODD, _EVEN_SQUARES, _ODD_SQUARES, None),),
         ),
         ProblemSpec(
             name="two-triangular",
@@ -353,8 +300,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
             argument_desc="a(n) counts decompositions of n itself, n >= 0 "
             "(targets 2*n over doubled triangulars)",
             compute=two_triangular,
-            evaluator_series=_two_triangular_evaluator,
-            oracle_series=_two_triangular_oracle,
+            parts=((EvaluatorKind.EVEN_EVEN, _PRONIC, _PRONIC, None),),
         ),
     )
 }

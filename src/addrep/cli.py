@@ -359,8 +359,9 @@ def main(argv=None) -> int:
     handlers = {"compute": cmd_compute, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[cfg.command](cfg)
-    except (ResourceBudgetError, LimitExceededError, LimitMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryError, LimitExceededError, LimitMismatchError) as exc:
+        # MemoryError covers ResourceBudgetError and numpy's failed allocations.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (
         CliUsageError,

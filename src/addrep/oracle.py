@@ -53,7 +53,7 @@ def brute_count(
         )
     pairs: list[tuple[int, int]] = []
     if role_tagged:
-        for u in seq_a.terms:
+        for u in seq_a.terms.tolist():
             if u > x:
                 break
             if seq_b.contains(x - u):
@@ -61,7 +61,8 @@ def brute_count(
     else:
         half = x // 2
         candidates = sorted(
-            {t for t in seq_a.terms if t <= half} | {t for t in seq_b.terms if t <= half}
+            {t for t in seq_a.terms.tolist() if t <= half}
+            | {t for t in seq_b.terms.tolist() if t <= half}
         )
         for p in candidates:
             q = x - p
@@ -88,11 +89,11 @@ def brute_count_series(
         raise LimitExceededError(
             f"x_max {x_max} beyond limits {seq_a.limit}/{seq_b.limit}"
         )
-    in_a = set(seq_a.terms)
-    in_b = set(seq_b.terms)
+    a_terms = seq_a.terms.tolist()
+    in_a = set(a_terms)
+    in_b = set(seq_b.terms.tolist())
     values = []
     if role_tagged:
-        a_terms = seq_a.terms
         for x in range(base, x_max + 1, 2):
             count = 0
             for u in a_terms:

@@ -214,9 +214,9 @@ class RecursionEvaluator:
     def _step_general(self, x: int) -> int:
         a, b, w = self.seq_a, self.seq_b, self.seq_w
         half = x // 2
-        s_over_b = _capped_sum(a.count_table, b.term_array, half, x)
-        s_over_a = _capped_sum(b.count_table, a.term_array, half, x)
-        s_over_w = _capped_sum(w.count_table, w.term_array, half, x)
+        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
+        s_over_a = _capped_sum(b.count_table, a.terms, half, x)
+        s_over_w = _capped_sum(w.count_table, w.terms, half, x)
         cross = a.counting(half) * b.counting(half)
         shared = math.comb(w.counting(half) + 1, 2)
         return s_over_b + s_over_a - s_over_w - cross + shared - self.tail_sum
@@ -224,9 +224,9 @@ class RecursionEvaluator:
     def _step_subset(self, x: int) -> int:
         a, b = self.seq_a, self.seq_b
         half = x // 2
-        s_over_b = _capped_sum(a.count_table, b.term_array, half, x)
-        s_diff = _capped_sum(b.count_table, a.term_array, half, x) - _capped_sum(
-            a.count_table, a.term_array, half, x
+        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
+        s_diff = _capped_sum(b.count_table, a.terms, half, x) - _capped_sum(
+            a.count_table, a.terms, half, x
         )
         cross = a.counting(half) * b.counting(half)
         shared = math.comb(a.counting(half) + 1, 2)
@@ -235,12 +235,12 @@ class RecursionEvaluator:
     def _step_equal(self, x: int) -> int:
         a = self.seq_a
         half = x // 2
-        s = _capped_sum(a.count_table, a.term_array, half, x)
+        s = _capped_sum(a.count_table, a.terms, half, x)
         return s - math.comb(a.counting(half), 2) - self.tail_sum
 
     def _step_even_odd(self, x: int) -> int:
         a, b = self.seq_a, self.seq_b
         half = (x + 1) // 2
-        s_over_b = _capped_sum(a.count_table, b.term_array, half, x)
-        s_over_a = _capped_sum(b.count_table, a.term_array, half, x)
+        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
+        s_over_a = _capped_sum(b.count_table, a.terms, half, x)
         return s_over_b + s_over_a - a.counting(half) * b.counting(half) - self.tail_sum

@@ -2,11 +2,13 @@
 
 A ParitySequence materializes every term of a sequence up to a stated
 limit and answers counting queries S(x) = #{terms <= x} in O(1) through a
-prefix table.  The built-in kinds cover everything the bundled counting
-problems need (odd primes, primes together with odd semiprimes, all
-primes, doubled primes, odd and even squares, pronic numbers, the full
-parity classes); arbitrary sequences can be passed as explicit term lists
-or loaded from a small text format.
+prefix table.  Its ``terms`` are stored once, as one read-only int64
+array, validated with numpy when the sequence is built.  The built-in
+kinds cover everything the bundled counting problems need (odd primes,
+primes together with odd semiprimes, all primes, doubled primes, odd and
+even squares, pronic numbers, the full parity classes); arbitrary
+sequences can be passed as explicit term lists or arrays, or loaded from
+a small text format.
 
 SieveTables bundles prime flags with a prefix table for the prime
 counting function pi(x); semiprime counting helpers sit on top of it.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,9 @@ from .errors import (
 
 # Tables larger than this raise ResourceBudgetError instead of thrashing memory.
 DEFAULT_TABLE_CAP = 50_000_000
+
+# Prefix tables hold int32 counts, so no table may reach 2**31 entries.
+COUNT_TABLE_LIMIT = 2**31
 
 # pi_hardy_wright evaluates (j-2)! exactly; the cap keeps that affordable.
 HARDY_WRIGHT_CAP = 40
@@ -68,37 +74,25 @@ class ParitySequence:
     than guessing; for a finite sequence the counting function is simply
     constant past the last term.  Zero is a legal term only for even
     parity.
+
+    ``terms`` is the only store of the terms: one read-only int64 array.
+    An int64 array passed in is kept as a read-only view, not copied.
     """
 
-    __slots__ = ("terms", "parity", "limit", "term_array", "count_table")
+    __slots__ = ("terms", "parity", "limit", "count_table")
 
     def __init__(self, terms, parity: Parity, limit: int):
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
-        terms = [int(t) for t in terms]
-        prev = -1
-        for t in terms:
-            if t <= prev:
-                raise SequenceFormatError(
-                    f"terms must be strictly increasing, got {t} after {prev}"
-                )
-            if t < 0:
-                raise SequenceFormatError(f"negative term {t}")
-            if t > limit:
-                raise LimitExceededError(f"term {t} lies beyond limit {limit}")
-            if parity is Parity.ODD and t % 2 == 0:
-                raise ParityMismatchError(f"even term {t} in an odd sequence")
-            if parity is Parity.EVEN and t % 2 == 1:
-                raise ParityMismatchError(f"odd term {t} in an even sequence")
-            prev = t
-        self.terms = tuple(terms)
+        _check_table_limit(limit)
+        terms = _term_array(terms)
+        _check_terms(terms, parity, limit)
+        self.terms = terms.astype(np.int64, copy=False).view()
+        self.terms.flags.writeable = False
         self.parity = parity
         self.limit = limit
-        self.term_array = np.asarray(terms, dtype=np.int64)
+        # An int32 indicator: cumsum of a bool one would cast it to a copy.
         indicator = np.zeros(limit + 1, dtype=np.int32)
-        if terms:
-            indicator[self.term_array] = 1
-        self.count_table = np.cumsum(indicator, dtype=np.int32)
+        indicator[self.terms] = 1
+        self.count_table = np.cumsum(indicator, out=indicator)
 
     def counting(self, x: int) -> int:
         """Number of terms <= x.  Defined for x <= limit; negative x count 0."""
@@ -123,7 +117,7 @@ class ParitySequence:
             raise LimitMismatchError(
                 "subset scan needs the other sequence known at least as far"
             )
-        return all(other.contains(t) for t in self.terms)
+        return bool(np.isin(self.terms, other.terms, assume_unique=True).all())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -134,19 +128,59 @@ class ParitySequence:
         return (
             self.parity is other.parity
             and self.limit == other.limit
-            and self.terms == other.terms
+            and np.array_equal(self.terms, other.terms)
         )
 
     def __hash__(self):
-        return hash((self.parity, self.limit, self.terms))
+        return hash((self.parity, self.limit, self.terms.tobytes()))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(t) for t in self.terms[:6])
+        head = ", ".join(map(str, self.terms[:6].tolist()))
         tail = ", ..." if len(self.terms) > 6 else ""
         return (
             f"ParitySequence([{head}{tail}] ({len(self.terms)} terms), "
             f"{self.parity.value}, limit={self.limit})"
         )
+
+
+def _check_table_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if limit >= COUNT_TABLE_LIMIT:
+        raise ResourceBudgetError(
+            f"limit {limit} does not fit int32 count tables (< {COUNT_TABLE_LIMIT})"
+        )
+
+
+def _term_array(terms) -> np.ndarray:
+    """The terms as a one-dimensional integer array; arrays pass through."""
+    if not isinstance(terms, np.ndarray):
+        terms = np.fromiter(terms, dtype=np.int64)
+    if terms.ndim != 1 or terms.dtype.kind not in "iu":
+        raise SequenceFormatError("terms must be a flat sequence of integers")
+    return terms
+
+
+def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
+    """Raise for the first term that breaks the ParitySequence contract."""
+    bad = (terms < 0) | (terms > limit)
+    bad[1:] |= terms[1:] <= terms[:-1]
+    if parity is not Parity.MIXED:
+        bad |= terms % 2 != (1 if parity is Parity.ODD else 0)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    t = int(terms[i])
+    if t < 0:
+        raise SequenceFormatError(f"negative term {t}")
+    if i and t <= terms[i - 1]:
+        raise SequenceFormatError(
+            f"terms must be strictly increasing, got {t} after {int(terms[i - 1])}"
+        )
+    if t > limit:
+        raise LimitExceededError(f"term {t} lies beyond limit {limit}")
+    other = "even" if parity is Parity.ODD else "odd"
+    raise ParityMismatchError(f"{other} term {t} in an {parity.value} sequence")
 
 
 class SieveTables:
@@ -175,10 +209,9 @@ class SieveTables:
 
 def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
     """Sieve of Eratosthenes plus prefix counts, exact up to ``limit``."""
-    if limit < 0:
-        raise ValueError("sieve limit must be nonnegative")
     if limit > cap:
         raise ResourceBudgetError(f"sieve limit {limit} exceeds the cap {cap}")
+    _check_table_limit(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -186,6 +219,8 @@ def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
             flags[p * p :: p] = False
     pi_prefix = np.cumsum(flags, dtype=np.int32)
     primes = np.flatnonzero(flags).astype(np.int64)
+    for table in (flags, pi_prefix, primes):
+        table.flags.writeable = False  # prime sequences keep views of primes
     return SieveTables(limit, flags, pi_prefix, primes)
 
 
@@ -239,10 +274,13 @@ def odd_semiprime_flags(tables: SieveTables, limit: int | None = None) -> np.nda
         raise LimitExceededError(f"need a sieve up to {limit}, have {tables.limit}")
     flags = np.zeros(limit + 1, dtype=bool)
     primes = tables.primes
-    small = primes[(primes >= 3) & (primes * primes <= limit)]
-    for p in small.tolist():
-        qs = primes[(primes >= p) & (primes <= limit // p)]
-        flags[p * qs] = True
+    # p runs over the odd primes up to sqrt(limit), q over primes[i:end],
+    # the primes from p up to limit // p.
+    lo = int(np.searchsorted(primes, 3))
+    hi = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    ends = np.searchsorted(primes, limit // primes[lo:hi], side="right")
+    for i, (p, end) in enumerate(zip(primes[lo:hi].tolist(), ends.tolist()), lo):
+        flags[p * primes[i:end]] = True
     return flags
 
 
@@ -280,14 +318,14 @@ def make_sequence(
     if kind is SequenceKind.CUSTOM:
         if terms is None:
             raise SequenceFormatError("a custom sequence needs an explicit term list")
-        return _custom_sequence(list(terms), parity, limit)
+        return _custom_sequence(terms, parity, limit)
     if terms is not None:
         raise SequenceFormatError(f"terms are only accepted for CUSTOM, not {kind.value}")
 
     if kind is SequenceKind.ALL_ODD:
-        return ParitySequence(range(1, limit + 1, 2), Parity.ODD, limit)
+        return ParitySequence(np.arange(1, limit + 1, 2), Parity.ODD, limit)
     if kind is SequenceKind.ALL_EVEN:
-        return ParitySequence(range(0, limit + 1, 2), Parity.EVEN, limit)
+        return ParitySequence(np.arange(0, limit + 1, 2), Parity.EVEN, limit)
     if kind is SequenceKind.ODD_SQUARES:
         return ParitySequence(squares_upto(limit, start=1), Parity.ODD, limit)
     if kind is SequenceKind.EVEN_SQUARES:
@@ -296,21 +334,19 @@ def make_sequence(
         return ParitySequence(pronics_upto(limit), Parity.EVEN, limit)
 
     tables = ensure_tables(tables, limit)
-    primes = tables.primes[tables.primes <= limit]
+    primes = tables.primes[: np.searchsorted(tables.primes, limit, side="right")]
+    odd_primes = primes[1:]  # primes[0] is 2 whenever any prime exists
     if kind is SequenceKind.ODD_PRIMES:
-        return ParitySequence(primes[primes != 2].tolist(), Parity.ODD, limit)
+        return ParitySequence(odd_primes, Parity.ODD, limit)
     if kind is SequenceKind.PRIMES:
-        return ParitySequence(primes.tolist(), Parity.MIXED, limit)
+        return ParitySequence(primes, Parity.MIXED, limit)
     if kind is SequenceKind.DOUBLED_PRIMES:
-        doubled = 2 * tables.primes[tables.primes <= limit // 2]
-        return ParitySequence(doubled.tolist(), Parity.EVEN, limit)
+        halves = primes[: np.searchsorted(primes, limit // 2, side="right")]
+        return ParitySequence(2 * halves, Parity.EVEN, limit)
     if kind is SequenceKind.PRIME_OR_ODD_SEMIPRIME:
         flags = odd_semiprime_flags(tables, limit)
-        odd_primes = primes[primes != 2]
-        if odd_primes.size:
-            flags = flags.copy()
-            flags[odd_primes] = True
-        return ParitySequence(np.flatnonzero(flags).tolist(), Parity.ODD, limit)
+        flags[odd_primes] = True
+        return ParitySequence(np.flatnonzero(flags), Parity.ODD, limit)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -337,12 +373,13 @@ def pronics_upto(limit: int) -> np.ndarray:
     return j * (j + 1)
 
 
-def _custom_sequence(terms: list[int], parity: Parity | None, limit: int) -> ParitySequence:
-    inferred = {t % 2 for t in terms}
-    if len(inferred) > 1:
-        raise SequenceFormatError("custom sequence mixes odd and even terms")
-    if terms:
-        term_parity = Parity.ODD if inferred.pop() == 1 else Parity.EVEN
+def _custom_sequence(terms, parity: Parity | None, limit: int) -> ParitySequence:
+    terms = _term_array(terms)
+    if terms.size:
+        odd = terms % 2 == 1
+        if (odd != odd[0]).any():
+            raise SequenceFormatError("custom sequence mixes odd and even terms")
+        term_parity = Parity.ODD if odd[0] else Parity.EVEN
         if parity is not None and parity is not term_parity:
             raise ParityMismatchError(
                 f"terms are {term_parity.value} but parity {parity.value} was declared"
@@ -354,53 +391,65 @@ def _custom_sequence(terms: list[int], parity: Parity | None, limit: int) -> Par
 
 
 def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:
-    """Merge-intersection of two sequences of the same parity and limit."""
+    """The terms two sequences of the same parity and limit share."""
     if a.parity is not b.parity:
         raise ParityMismatchError(
             f"cannot intersect {a.parity.value} with {b.parity.value}"
         )
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
-    common = np.intersect1d(a.term_array, b.term_array)
-    return ParitySequence(common.tolist(), a.parity, a.limit)
+    # np.isin rather than np.intersect1d, which imports numpy.ma.
+    common = a.terms[np.isin(a.terms, b.terms, assume_unique=True)]
+    return ParitySequence(common, a.parity, a.limit)
 
 
 def load_sequence(path, limit: int | None = None) -> ParitySequence:
     """Load a sequence from a text file.
 
     Format: a header line ``parity: odd`` or ``parity: even``, then one
-    integer per line in strictly increasing order.  Blank lines and lines
-    starting with ``#`` are ignored.  When ``limit`` is given, terms beyond
-    it are dropped; otherwise the limit is the last term.
+    integer per line in strictly increasing order.  Blank lines and text
+    after ``#`` are ignored.  When ``limit`` is given, terms beyond it are
+    dropped; otherwise the limit is the last term.
     """
     path = Path(path)
-    parity = None
-    terms: list[int] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if parity is None:
-            key, _, value = line.partition(":")
-            if key.strip().lower() != "parity":
-                raise SequenceFormatError(
-                    f"{path}:{lineno}: expected 'parity: odd|even' header"
-                )
-            value = value.strip().lower()
-            if value not in ("odd", "even"):
-                raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
-            parity = Parity(value)
-            continue
-        try:
-            terms.append(int(line))
-        except ValueError:
+    with path.open() as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                break
+        else:
+            raise SequenceFormatError(f"{path}: missing 'parity:' header")
+        key, _, value = line.partition(":")
+        if key.strip().lower() != "parity":
             raise SequenceFormatError(
-                f"{path}:{lineno}: not an integer: {line!r}"
-            ) from None
-    if parity is None:
-        raise SequenceFormatError(f"{path}: missing 'parity:' header")
+                f"{path}:{lineno}: expected 'parity: odd|even' header"
+            )
+        value = value.strip().lower()
+        if value not in ("odd", "even"):
+            raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no terms
+            try:
+                rows = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+            except ValueError:
+                rows = None
+    if rows is None or rows.shape[1] != 1:
+        raise _bad_term_line(path, lineno)
+    terms = rows.ravel()
     if limit is None:
-        limit = terms[-1] if terms else 0
+        limit = int(terms[-1]) if terms.size else 0
     else:
-        terms = [t for t in terms if t <= limit]
-    return ParitySequence(terms, parity, limit)
+        terms = terms[terms <= limit]
+    return ParitySequence(terms, Parity(value), limit)
+
+
+def _bad_term_line(path: Path, header_lineno: int) -> SequenceFormatError:
+    """The error naming the first line after the header that is not one integer."""
+    lines = path.read_text().splitlines()[header_lineno:]
+    for lineno, raw in enumerate(lines, header_lineno + 1):
+        line = raw.partition("#")[0].strip()
+        try:
+            int(line or 0)
+        except ValueError:
+            return SequenceFormatError(f"{path}:{lineno}: not an integer: {line!r}")
+    return SequenceFormatError(f"{path}: expected one int64 integer per line")

@@ -264,3 +264,39 @@ def test_read_bfile_reports_malformed_line(tmp_path, line):
     path.write_text(f"# header\n1 0\n{line}\n")
     with pytest.raises(SequenceFormatError, match=rf"b\.txt:3: "):
         read_bfile(path)
+
+
+def test_bare_memory_error_exits_with_resource_code(monkeypatch, capsys):
+    import addrep.applications as applications
+
+    def out_of_memory(limit, cap):
+        raise MemoryError()
+
+    monkeypatch.setattr(applications, "build_sieve", out_of_memory)
+    assert main(["compute", "--problem", "goldbach", "--n-max", "30"]) == EXIT_RESOURCE
+    assert "error: out of memory" in capsys.readouterr().err
+
+
+def test_custom_odd_odd_run_does_not_import_numpy_ma(tmp_path):
+    # np.intersect1d (and np.unique, np.union1d) import numpy.ma, which
+    # costs resident memory on every custom run.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    a = _odd_file(tmp_path, "a.txt", last=41)
+    b = tmp_path / "b.txt"
+    b.write_text("parity: odd\n3\n9\n15\n21\n")
+    script = (
+        "import sys\n"
+        "from addrep.cli import main\n"
+        f"code = main(['compute', '--problem', 'custom', '--seq-a', {a!r},"
+        f" '--seq-b', {str(b)!r}, '--x-max', '40', '--out', {str(tmp_path / 'o')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

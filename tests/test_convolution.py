@@ -25,7 +25,7 @@ def _check_three_routes(kind, a, b, relation):
     base = _BASES[kind]
     x_last = base + 2 * ((a.limit - base) // 2)
     engine = count_series(
-        kind, x_last, a.term_array, None if relation == "equal" else b.term_array
+        kind, x_last, a.terms, None if relation == "equal" else b.terms
     ).tolist()
     formulas = [Formula.GENERAL]
     if kind is not EvaluatorKind.EVEN_ODD and relation != "independent":

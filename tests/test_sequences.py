@@ -123,6 +123,15 @@ def test_odd_semiprime_flags_match_count():
         assert int(prefix[x]) == odd_semiprime_count(x, tables)
 
 
+@pytest.mark.parametrize("limit", [0, 9, 15, 25, 45, 49, 3000])
+def test_odd_semiprime_flags_match_factorization(limit):
+    # 9 = 3*3 and 25 = 5*5 sit on p*p == limit; at 15 and 45, limit // 3
+    # is the prime 5 (and 15 = 3*5 itself); 49 = 7*7 needs the last small p.
+    flags = odd_semiprime_flags(build_sieve(limit))
+    expected = [n for n in range(limit + 1) if n % 2 == 1 and factor_count(n) == 2]
+    assert np.flatnonzero(flags).tolist() == expected
+
+
 # --- ParitySequence basics ------------------------------------------------
 
 def test_counting_and_membership():
@@ -148,6 +157,84 @@ def test_constructor_validation():
     with pytest.raises(LimitExceededError):
         ParitySequence([11], Parity.ODD, 10)
     assert ParitySequence([0], Parity.EVEN, 4).contains(0)
+
+
+def _gen(values):
+    yield from values
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[1, 5, 9], range(1, 10, 4), _gen([1, 5, 9]), np.array([1, 5, 9]),
+     np.array([1, 5, 9], dtype=np.uint16), (np.int64(1), 5, np.int32(9))],
+    ids=["list", "range", "generator", "int64", "uint16", "mixed"],
+)
+def test_term_inputs_give_equal_sequences(terms):
+    seq = ParitySequence(terms, Parity.ODD, 10)
+    reference = ParitySequence([1, 5, 9], Parity.ODD, 10)
+    assert seq == reference
+    assert hash(seq) == hash(reference)
+    assert seq.terms.dtype == np.int64
+    assert seq.terms.tolist() == [1, 5, 9]
+
+
+def test_terms_are_one_read_only_array():
+    source = np.array([0, 4, 8])
+    seq = ParitySequence(source, Parity.EVEN, 8)
+    assert ParitySequence.__slots__ == ("terms", "parity", "limit", "count_table")
+    with pytest.raises(ValueError):
+        seq.terms[0] = 2
+    source[0] = 2  # the caller's array stays writable
+    assert seq != ParitySequence([0, 4, 8], Parity.EVEN, 8)
+    assert ParitySequence([], Parity.ODD, 5) != ParitySequence([], Parity.EVEN, 5)
+    assert hash(ParitySequence([], Parity.ODD, 5)) == hash(
+        ParitySequence(range(0), Parity.ODD, 5)
+    )
+    # Prime sequences are views of the sieve's primes, which stay read-only.
+    tables = build_sieve(30)
+    odd_primes = make_sequence(SequenceKind.ODD_PRIMES, 30, tables=tables)
+    with pytest.raises(ValueError):
+        tables.primes[1] = 4
+    assert odd_primes.terms[0] == 3
+
+
+@pytest.mark.parametrize(
+    "terms, parity, limit, error, message",
+    [
+        ([-3, 1], Parity.ODD, 10, SequenceFormatError, "negative term -3"),
+        ([1, 3, -1], Parity.ODD, 10, SequenceFormatError, "negative term -1"),
+        ([1, 7, 5, 4], Parity.ODD, 10, SequenceFormatError, "got 5 after 7"),
+        ([1, 3, 3], Parity.ODD, 10, SequenceFormatError, "got 3 after 3"),
+        ([1, 13, 12], Parity.ODD, 10, LimitExceededError, "term 13 lies beyond"),
+        ([1, 4, 6], Parity.ODD, 10, ParityMismatchError, "even term 4"),
+        ([0, 2, 5, 7], Parity.EVEN, 10, ParityMismatchError, "odd term 5"),
+        ([2, 3, 3], Parity.MIXED, 10, SequenceFormatError, "got 3 after 3"),
+        (np.array([[1, 3]]), Parity.ODD, 10, SequenceFormatError, "flat sequence"),
+        (np.array([1.0, 3.0]), Parity.ODD, 10, SequenceFormatError, "integers"),
+    ],
+)
+def test_validation_names_the_first_bad_term(terms, parity, limit, error, message):
+    with pytest.raises(error, match=message):
+        ParitySequence(terms, parity, limit)
+
+
+def test_empty_sequences_are_valid():
+    for parity in Parity:
+        seq = ParitySequence([], parity, 6)
+        assert len(seq) == 0 and seq.counting(6) == 0
+        assert seq.terms.dtype == np.int64
+    with pytest.raises(SequenceFormatError, match="explicit parity"):
+        make_sequence(SequenceKind.CUSTOM, 6, terms=np.array([], dtype=np.int64))
+
+
+def test_tables_beyond_int32_are_refused_before_allocating():
+    # Each check runs before any table is allocated, so this costs nothing.
+    with pytest.raises(ResourceBudgetError, match="int32"):
+        ParitySequence([], Parity.ODD, 2**31)
+    with pytest.raises(ResourceBudgetError, match="int32"):
+        build_sieve(2**31, cap=2**40)
+    with pytest.raises(ResourceBudgetError, match="cap"):
+        build_sieve(2**31)
 
 
 def test_custom_sequence_via_make_sequence():
@@ -307,3 +394,19 @@ def test_load_sequence_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(SequenceFormatError):
         load_sequence(empty)
+
+
+@pytest.mark.parametrize("line", ["x", "5 7", "1.5", "99999999999999999999"])
+def test_load_sequence_names_the_bad_line(tmp_path, line):
+    path = tmp_path / "f.txt"
+    path.write_text(f"# comment\nparity: odd\n1\n\n{line}\n9\n")
+    message = r"f\.txt: expected one int64" if line.startswith("9") else r"f\.txt:5: "
+    with pytest.raises(SequenceFormatError, match=message):
+        load_sequence(path)
+
+
+def test_load_sequence_without_terms(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("parity: even\n# nothing yet\n")
+    seq = load_sequence(path)
+    assert len(seq) == 0 and seq.limit == 0 and seq.parity is Parity.EVEN
