@@ -298,5 +298,7 @@ def test_custom_odd_odd_run_does_not_import_numpy_ma(tmp_path):
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
