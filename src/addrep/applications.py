@@ -62,13 +62,7 @@ def chen_odd_odd(n_max: int, tables: SieveTables | None = None) -> CountSeries:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tables = ensure_tables(tables, 2 * n_max)
-    odd_primes = _odd_primes(tables)
-    flags = odd_semiprime_flags(tables, 2 * n_max)
-    flags[odd_primes[odd_primes <= 2 * n_max]] = True
-    counts = count_series(
-        EvaluatorKind.ODD_ODD, 2 * n_max, odd_primes, np.flatnonzero(flags)
-    )
-    return CountSeries(2, counts.tolist())
+    return CountSeries(2, _chen_odd_odd_counts(n_max, tables).tolist())
 
 
 def chen_total(n_max: int, tables: SieveTables | None = None) -> CountSeries:
@@ -78,10 +72,19 @@ def chen_total(n_max: int, tables: SieveTables | None = None) -> CountSeries:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tables = ensure_tables(tables, 2 * n_max)
-    odd_odd = np.array(chen_odd_odd(n_max, tables).values)
     m = np.arange(n_max)  # n - 1 for n = 1..n_max
     even_even = tables.prime_flags[:n_max] | (m == 1)
-    return CountSeries(2, (odd_odd + even_even).tolist())
+    return CountSeries(2, (_chen_odd_odd_counts(n_max, tables) + even_even).tolist())
+
+
+def _chen_odd_odd_counts(n_max: int, tables: SieveTables) -> np.ndarray:
+    """g1(2n) for n = 1..n_max as int64, from tables covering 2 * n_max."""
+    odd_primes = _odd_primes(tables)
+    flags = odd_semiprime_flags(tables, 2 * n_max)
+    flags[odd_primes[odd_primes <= 2 * n_max]] = True
+    return count_series(
+        EvaluatorKind.ODD_ODD, 2 * n_max, odd_primes, np.flatnonzero(flags)
+    )
 
 
 def lemoine_levy(n_max: int, tables: SieveTables | None = None) -> CountSeries:
@@ -203,12 +206,12 @@ def reference_series(spec: ProblemSpec, n_max: int, oracle: bool = False) -> lis
     """a(n) for n = n_start..n_max by the paper's recursion, or by brute force.
 
     Each part's series runs over every target of its kind's lattice up to
-    ``x_of_n(n_max)``; the problem's terms read the parts' sums at x_of_n(n).
+    ``x_of_n(n_max)``; the problem's terms sum one strided slice of each
+    part's values, the entries at x_of_n(n).
     """
     x_max = spec.x_of_n(n_max)
     tables = build_sieve(x_max) if spec.sieved else None
-    ns = range(spec.n_start, n_max + 1)
-    totals = [0] * len(ns)
+    totals = [0] * (n_max - spec.n_start + 1)
     for kind, make_a, make_b, make_oracle_b in spec.parts:
         if oracle and make_oracle_b:
             make_b = make_oracle_b
@@ -221,8 +224,12 @@ def reference_series(spec: ProblemSpec, n_max: int, oracle: bool = False) -> lis
             )
         else:
             series = RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max)
-        for i, n in enumerate(ns):
-            totals[i] += series.value_at(spec.x_of_n(n))
+        first = spec.x_of_n(spec.n_start) - series.base
+        offset, off_lattice = divmod(first, series.step)
+        stride, off_stride = divmod(spec.x_step, series.step)
+        assert offset >= 0 and not off_lattice and not off_stride
+        values = series.values[offset::stride]
+        totals = [t + v for t, v in zip(totals, values)]
     return totals
 
 

@@ -1,8 +1,13 @@
 """Brute-force representation counting, plus the triangular/square bijection.
 
-Deliberately naive ground truth: every pair is enumerated and membership
-is re-checked, so a recursion bug cannot hide here.  Pure functions over
-immutable inputs.
+Deliberately naive ground truth: every candidate pair is enumerated and
+both memberships are re-checked, so a recursion or convolution bug cannot
+hide here.  ``brute_count_series`` lays the pairs out in numpy blocks of
+targets against candidate terms.  ``brute_count`` lists one target's
+pairs in plain Python and shares no code with the series route; the
+benchmark gate (``perfbench/gate.py``) checks outputs with it.  No prefix
+table, FFT or recursion step is used.  Pure functions over immutable
+inputs.
 """
 
 from __future__ import annotations
@@ -10,9 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LimitExceededError
 from .recursion import CountSeries
 from .sequences import Parity, ParitySequence
+
+# Cells (targets x candidate terms) laid out at once by brute_count_series:
+# 2^14 keeps each int64 grid at 128 KB whatever the series length.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,12 @@ def brute_count_series(
     role_tagged: bool = False,
     base: int | None = None,
 ) -> CountSeries:
-    """Counts for every target base, base+2, ..., x_max by plain enumeration."""
+    """Counts for every target base, base+2, ..., x_max by plain enumeration.
+
+    The candidates p are seq_a's terms (role-tagged) or the union of both
+    sequences' terms; a target x takes those with p <= x (role-tagged) or
+    p <= x // 2 and re-checks q = x - p as ``brute_count`` does.
+    """
     if base is None:
         base = _default_base(seq_a, seq_b, role_tagged)
     if x_max < base or (x_max - base) % 2:
@@ -89,32 +105,34 @@ def brute_count_series(
         raise LimitExceededError(
             f"x_max {x_max} beyond limits {seq_a.limit}/{seq_b.limit}"
         )
-    a_terms = seq_a.terms.tolist()
-    in_a = set(a_terms)
-    in_b = set(seq_b.terms.tolist())
-    values = []
-    if role_tagged:
-        for x in range(base, x_max + 1, 2):
-            count = 0
-            for u in a_terms:
-                if u > x:
-                    break
-                if (x - u) in in_b:
-                    count += 1
-            values.append(count)
-    else:
-        merged = sorted(in_a | in_b)
-        for x in range(base, x_max + 1, 2):
-            half = x // 2
-            count = 0
-            for p in merged:
-                if p > half:
-                    break
-                q = x - p
-                if (p in in_a and q in in_b) or (p in in_b and q in in_a):
-                    count += 1
-            values.append(count)
+    in_a = _members(seq_a, x_max)
+    in_b = _members(seq_b, x_max)
+    pool = np.flatnonzero(in_a if role_tagged else in_a | in_b)
+    pool_in_a, pool_in_b = in_a[pool], in_b[pool]
+    targets = np.arange(base, x_max + 1, 2)
+    rows = max(1, _BLOCK_CELLS // max(len(pool), 1))
+    values: list[int] = []
+    for start in range(0, len(targets), rows):
+        x = targets[start : start + rows, None]
+        caps = x if role_tagged else x // 2
+        width = np.searchsorted(pool, caps[-1, 0], side="right")
+        p = pool[:width]
+        hit = p <= caps
+        q = x - p
+        np.maximum(q, 0, out=q)  # q < 0 only where p > x, which hit masks
+        if role_tagged:
+            hit &= in_b[q]
+        else:
+            hit &= (pool_in_a[:width] & in_b[q]) | (pool_in_b[:width] & in_a[q])
+        values.extend(np.count_nonzero(hit, axis=1).tolist())
     return CountSeries(base, values)
+
+
+def _members(seq: ParitySequence, x_max: int) -> np.ndarray:
+    """Membership flags of the sequence's terms up to x_max."""
+    flags = np.zeros(x_max + 1, dtype=bool)
+    flags[seq.terms[: np.searchsorted(seq.terms, x_max, side="right")]] = True
+    return flags
 
 
 def _default_base(seq_a: ParitySequence, seq_b: ParitySequence, role_tagged: bool) -> int:

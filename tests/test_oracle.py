@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrep.applications import PROBLEMS
 from addrep.errors import LimitExceededError
 from addrep.oracle import (
     brute_count,
@@ -16,8 +18,8 @@ from addrep.oracle import (
     verify_remark_identity,
 )
 from addrep.sequences import Parity, ParitySequence, SequenceKind, make_sequence
-from conftest import random_pair
-from addrep.recursion import EvaluatorKind
+from conftest import KIND_PARITIES, random_pair
+from addrep.recursion import _BASES, EvaluatorKind
 
 
 # --- brute_count -------------------------------------------------------------
@@ -79,6 +81,87 @@ def test_brute_series_base_inference_needs_pure_parity():
     with pytest.raises(ValueError):
         brute_count_series(u, v, 19)  # mixed parity, unordered, no base
     assert brute_count_series(u, v, 19, role_tagged=True).base == 1
+
+
+def _assert_series_is_per_target(a, b, x_max, role_tagged, base):
+    values = brute_count_series(a, b, x_max, role_tagged, base).values
+    assert all(type(v) is int for v in values)
+    assert values == [
+        brute_count(a, b, x, role_tagged).count for x in range(base, x_max + 1, 2)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(EvaluatorKind))
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_series_equals_brute_count_random(kind, seed):
+    # Odd and even limits; x_max at or below the limit, so terms past
+    # x_max occur; a wide range of pool sizes and so of block shapes.
+    rng = random.Random(1000 * seed + len(kind.value))
+    base = _BASES[kind]
+    limit = rng.randint(base, 400)
+    a, b = random_pair(rng, kind, limit)
+    x_max = base + 2 * ((rng.randint(base, limit) - base) // 2)
+    _assert_series_is_per_target(a, b, x_max, kind is EvaluatorKind.EVEN_ODD, base)
+
+
+@pytest.mark.parametrize("role_tagged", [False, True])
+@pytest.mark.parametrize("base", [0, 1, 2])
+def test_brute_series_equals_brute_count_mixed(role_tagged, base):
+    rng = random.Random(7 + base)
+    terms = [t for t in range(120) if rng.random() < 0.4]
+    a = ParitySequence(terms, Parity.MIXED, 121)
+    b = ParitySequence(terms[::2], Parity.MIXED, 121)
+    _assert_series_is_per_target(a, b, base + 118, role_tagged, base)
+
+
+@pytest.mark.parametrize("kind", list(EvaluatorKind))
+@pytest.mark.parametrize("shape", ["empty", "single", "at_base", "past_x_max"])
+def test_brute_series_edge_cases(kind, shape):
+    pa, pb = KIND_PARITIES[kind]
+    base = _BASES[kind]
+    first = {Parity.ODD: 1, Parity.EVEN: 0}
+    limit, x_max = base + 10, base + 6
+    terms_a = list(range(first[pa], limit + 1, 2))
+    terms_b = list(range(first[pb], limit + 1, 2))
+    if shape == "empty":
+        terms_a, terms_b = [], []
+    elif shape == "single":
+        terms_a, terms_b = terms_a[1:2], terms_b[-3:-2]
+    elif shape == "at_base":
+        x_max = base
+    # "past_x_max": full sequences up to limit > x_max.
+    a = ParitySequence(terms_a, pa, limit)
+    b = ParitySequence(terms_b, pb, limit)
+    _assert_series_is_per_target(a, b, x_max, kind is EvaluatorKind.EVEN_ODD, base)
+
+
+@pytest.mark.parametrize(
+    "problem, part",
+    [(name, i) for name, spec in PROBLEMS.items() for i in range(len(spec.parts))],
+)
+def test_brute_series_equals_brute_count_on_oracle_pairs(problem, part):
+    # Includes lemoine-levy's doubled primes with all (MIXED) primes,
+    # role-tagged, and chen-total's even part {2} with {2} u 2P, base 0.
+    kind, make_a, make_b, make_oracle_b = PROBLEMS[problem].parts[part]
+    limit = 301
+    a = make_a(limit, None)
+    b = (make_oracle_b or make_b)(limit, None)
+    base = _BASES[kind]
+    x_max = base + 2 * ((limit - base) // 2)
+    _assert_series_is_per_target(a, b, x_max, kind is EvaluatorKind.EVEN_ODD, base)
+
+
+def test_brute_series_working_set_is_bounded():
+    # A grid of every target against every candidate would take about
+    # 27 MB here; the blocked enumeration stays near 0.5 MB.
+    seq = make_sequence(SequenceKind.ODD_PRIMES, 20_000)
+    tracemalloc.start()
+    try:
+        brute_count_series(seq, seq, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- triangular / square bijection -------------------------------------------
