@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .applications import PROBLEMS, two_triangular
@@ -39,21 +38,6 @@ DEFAULT_VERIFY_N = 200
 
 class CliUsageError(AddrepError):
     """Bad flag combination or out-of-range request."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    problem: str
-    n_max: int | None = None
-    x_max: int | None = None
-    output_format: str = "bfile"
-    output_path: str = "-"
-    seq_a: str | None = None
-    seq_b: str | None = None
-    theorem: str | None = None
-    table_cap: int = DEFAULT_TABLE_CAP
-    oracle_cap: int = DEFAULT_ORACLE_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,28 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        problem=args.problem,
-        n_max=args.n_max,
-        x_max=args.x_max,
-        output_format=getattr(args, "output_format", "bfile"),
-        output_path=getattr(args, "output_path", "-"),
-        seq_a=args.seq_a,
-        seq_b=args.seq_b,
-        theorem=args.theorem,
-        table_cap=args.limit,
-        oracle_cap=args.oracle_cap,
-    )
-
-
-def _require_n_max(cfg: RunConfig, n_start: int, default: int | None = None) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else default
+def _require_n_max(
+    args: argparse.Namespace, n_start: int, default: int | None = None
+) -> int:
+    n_max = args.n_max if args.n_max is not None else default
     if n_max is None:
-        raise CliUsageError(f"--n-max is required for problem {cfg.problem!r}")
+        raise CliUsageError(f"--n-max is required for problem {args.problem!r}")
     if n_max < n_start:
-        raise CliUsageError(f"--n-max must be >= {n_start} for {cfg.problem!r}")
+        raise CliUsageError(f"--n-max must be >= {n_start} for {args.problem!r}")
     return n_max
 
 
@@ -143,16 +113,16 @@ def _check_table_budget(needed: int, cap: int) -> None:
 _KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
 
 
-def _custom_evaluator(cfg: RunConfig) -> tuple[RecursionEvaluator, int]:
-    if not cfg.seq_a or not cfg.seq_b:
+def _custom_evaluator(args: argparse.Namespace) -> tuple[RecursionEvaluator, int]:
+    if not args.seq_a or not args.seq_b:
         raise CliUsageError("custom runs need --seq-a and --seq-b")
-    if cfg.x_max is None:
+    if args.x_max is None:
         raise CliUsageError("custom runs need --x-max")
-    if cfg.x_max < 0:
+    if args.x_max < 0:
         raise CliUsageError("--x-max must be nonnegative")
-    _check_table_budget(cfg.x_max, cfg.table_cap)
-    a = load_sequence(cfg.seq_a, limit=cfg.x_max)
-    b = load_sequence(cfg.seq_b, limit=cfg.x_max)
+    _check_table_budget(args.x_max, args.limit)
+    a = load_sequence(args.seq_a, limit=args.x_max)
+    b = load_sequence(args.seq_b, limit=args.x_max)
     if (a.parity, b.parity) == (Parity.ODD, Parity.EVEN):
         a, b = b, a  # even role first; counts are unchanged
     kind = _KIND_BY_PARITY.get((a.parity, b.parity))
@@ -160,32 +130,32 @@ def _custom_evaluator(cfg: RunConfig) -> tuple[RecursionEvaluator, int]:
         raise CliUsageError(
             f"no recursion for parities {a.parity.value}/{b.parity.value}"
         )
-    if cfg.theorem is not None and cfg.theorem != kind.value:
+    if args.theorem is not None and args.theorem != kind.value:
         raise CliUsageError(
-            f"--theorem {cfg.theorem} does not match the file parities ({kind.value})"
+            f"--theorem {args.theorem} does not match the file parities ({kind.value})"
         )
     ev = RecursionEvaluator(kind, a, b)
     base = ev.computed.base
-    if cfg.x_max < base:
-        raise CliUsageError(f"--x-max {cfg.x_max} is below the base target {base}")
-    x_last = base + 2 * ((cfg.x_max - base) // 2)
+    if args.x_max < base:
+        raise CliUsageError(f"--x-max {args.x_max} is below the base target {base}")
+    x_last = base + 2 * ((args.x_max - base) // 2)
     return ev, x_last
 
 
-def _compute_rows(cfg: RunConfig):
-    if cfg.problem == "custom":
-        ev, x_last = _custom_evaluator(cfg)
+def _compute_rows(args: argparse.Namespace):
+    if args.problem == "custom":
+        ev, x_last = _custom_evaluator(args)
         series = ev.run_to(x_last)
         header = [
             f"# custom {ev.kind.value} recursion; lines are 'x a(x)' for the target x",
-            f"# seq-a: {cfg.seq_a}  seq-b: {cfg.seq_b}",
+            f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}",
         ]
         rows = zip(series.arguments(), series.values)
         return rows, header, {"problem": "custom", "kind": ev.kind.value}
-    spec = PROBLEMS[cfg.problem]
-    n_max = _require_n_max(cfg, spec.n_start)
-    _check_table_budget(max(spec.x_of_n(n_max), 0), cfg.table_cap)
-    series = spec.run(n_max, cfg.table_cap)
+    spec = PROBLEMS[args.problem]
+    n_max = _require_n_max(args, spec.n_start)
+    _check_table_budget(max(spec.x_of_n(n_max), 0), args.limit)
+    series = spec.run(n_max, args.limit)
     rows = zip(range(spec.n_start, n_max + 1), series.values)
     header = [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"]
     if spec.oeis:
@@ -232,19 +202,19 @@ def read_bfile(path) -> list[tuple[int, int]]:
     return rows
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    rows, header, meta = _compute_rows(cfg)
-    if cfg.output_path == "-":
-        _write_rows(sys.stdout, cfg.output_format, rows, header, meta)
+def cmd_compute(args: argparse.Namespace) -> int:
+    rows, header, meta = _compute_rows(args)
+    if args.output_path == "-":
+        _write_rows(sys.stdout, args.output_format, rows, header, meta)
         return EXIT_OK
     # Write beside the target and rename over it, so that a failed or
     # interrupted run leaves no partial file and any older file intact.
-    tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
+    tmp = f"{args.output_path}.{os.getpid()}.tmp"
     fh = open(tmp, "x")
     try:
         with fh:
-            _write_rows(fh, cfg.output_format, rows, header, meta)
-        os.replace(tmp, cfg.output_path)
+            _write_rows(fh, args.output_format, rows, header, meta)
+        os.replace(tmp, args.output_path)
     except BaseException:
         os.remove(tmp)
         raise
@@ -260,12 +230,12 @@ def _write_rows(fh, fmt, rows, header, meta) -> None:
         write_json(fh, rows, meta)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.problem == "custom":
-        ev, x_last = _custom_evaluator(cfg)
-        if x_last > cfg.oracle_cap:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.problem == "custom":
+        ev, x_last = _custom_evaluator(args)
+        if x_last > args.oracle_cap:
             raise CliUsageError(
-                f"x {x_last} beyond --oracle-cap {cfg.oracle_cap}"
+                f"x {x_last} beyond --oracle-cap {args.oracle_cap}"
             )
         series = ev.run_to(x_last)
         oracle = brute_count_series(
@@ -279,16 +249,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
         terms = len(series)
         title = f"custom {ev.kind.value}"
+        route = "recursion"
     else:
-        spec = PROBLEMS[cfg.problem]
-        n_max = _require_n_max(cfg, spec.n_start, default=DEFAULT_VERIFY_N)
+        spec = PROBLEMS[args.problem]
+        n_max = _require_n_max(args, spec.n_start, default=DEFAULT_VERIFY_N)
         x_last = spec.x_of_n(n_max)
-        if x_last > cfg.oracle_cap:
+        if x_last > args.oracle_cap:
             raise CliUsageError(
-                f"n-max {n_max} reaches x {x_last}, beyond --oracle-cap {cfg.oracle_cap}"
+                f"n-max {n_max} reaches x {x_last}, beyond --oracle-cap {args.oracle_cap}"
             )
-        _check_table_budget(max(x_last, 0), cfg.table_cap)
-        got_values = spec.run(n_max, cfg.table_cap).values
+        _check_table_budget(max(x_last, 0), args.limit)
+        got_values = spec.run(n_max, args.limit).values
         want_values = spec.oracle_series(n_max)
         labelled = (
             (f"n={n} x={spec.x_of_n(n)}", got, want)
@@ -298,11 +269,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
         terms = len(got_values)
         title = spec.name
+        route = "engine"
     for label, got, want in labelled:
         if got != want:
-            print(f"MISMATCH {title} {label}: recursion={got} oracle={want}")
+            print(f"MISMATCH {title} {label}: {route}={got} oracle={want}")
             print(
-                f"verification failed at {label} (recursion {got} vs oracle {want})",
+                f"verification failed at {label} ({route} {got} vs oracle {want})",
                 file=sys.stderr,
             )
             return EXIT_MISMATCH
@@ -323,12 +295,12 @@ def _bench_steps(n_start: int, n_max: int) -> list[int]:
     return sorted(set(steps))
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.problem == "custom":
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.problem == "custom":
         raise CliUsageError("bench supports built-in problems only")
-    spec = PROBLEMS[cfg.problem]
-    n_max = _require_n_max(cfg, spec.n_start, default=1000)
-    _check_table_budget(max(spec.x_of_n(n_max), 0), cfg.table_cap)
+    spec = PROBLEMS[args.problem]
+    n_max = _require_n_max(args, spec.n_start, default=1000)
+    _check_table_budget(max(spec.x_of_n(n_max), 0), args.limit)
     lemma_column = spec.name == "two-squares"
     header = "n_max,recursion_s,oracle_s"
     if lemma_column:
@@ -338,7 +310,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         values = spec.evaluator_series(n)
         t_rec = time.perf_counter() - t0
-        if spec.x_of_n(n) <= cfg.oracle_cap:
+        if spec.x_of_n(n) <= args.oracle_cap:
             t0 = time.perf_counter()
             spec.oracle_series(n)
             t_orc = f"{time.perf_counter() - t0:.6f}"
@@ -355,10 +327,9 @@ def cmd_bench(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     handlers = {"compute": cmd_compute, "verify": cmd_verify, "bench": cmd_bench}
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (MemoryError, LimitExceededError, LimitMismatchError) as exc:
         # MemoryError covers ResourceBudgetError and numpy's failed allocations.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

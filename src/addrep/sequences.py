@@ -3,18 +3,19 @@
 A ParitySequence materializes every term of a sequence up to a stated
 limit and answers counting queries S(x) = #{terms <= x} in O(1) through a
 prefix table.  Its ``terms`` are stored once, as one read-only int64
-array, validated with numpy when the sequence is built.  The built-in
-kinds cover everything the bundled counting problems need (odd primes,
-primes together with odd semiprimes, all primes, doubled primes, odd and
-even squares, pronic numbers, the full parity classes); arbitrary
-sequences can be passed as explicit term lists or arrays, or loaded from
-a small text format.
+array, validated with numpy when the sequence is built; the prefix table
+is built on first use.  The built-in kinds cover everything the bundled
+counting problems need (odd primes, primes together with odd semiprimes,
+all primes, doubled primes, odd and even squares, pronic numbers, the
+full parity classes); arbitrary sequences can be passed as explicit term
+lists or arrays, or loaded from a small text format.
 
 SieveTables bundles prime flags with a prefix table for the prime
 counting function pi(x); semiprime counting helpers sit on top of it.
 
 All objects here are immutable after construction and safe to share
-between threads.
+between threads.  Two threads may race to build a sequence's prefix
+table; both build the same table, so the race is harmless.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class ParitySequence:
     An int64 array passed in is kept as a read-only view, not copied.
     """
 
-    __slots__ = ("terms", "parity", "limit", "count_table")
+    __slots__ = ("terms", "parity", "limit", "_count_table")
 
     def __init__(self, terms, parity: Parity, limit: int):
         _check_table_limit(limit)
@@ -89,10 +90,17 @@ class ParitySequence:
         self.terms.flags.writeable = False
         self.parity = parity
         self.limit = limit
-        # An int32 indicator: cumsum of a bool one would cast it to a copy.
-        indicator = np.zeros(limit + 1, dtype=np.int32)
-        indicator[self.terms] = 1
-        self.count_table = np.cumsum(indicator, out=indicator)
+        self._count_table = None
+
+    @property
+    def count_table(self) -> np.ndarray:
+        """S(x) for x = 0..limit as int32, built the first time it is used."""
+        if self._count_table is None:
+            # An int32 indicator: cumsum of a bool one would cast it to a copy.
+            indicator = np.zeros(self.limit + 1, dtype=np.int32)
+            indicator[self.terms] = 1
+            self._count_table = np.cumsum(indicator, out=indicator)
+        return self._count_table
 
     def counting(self, x: int) -> int:
         """Number of terms <= x.  Defined for x <= limit; negative x count 0."""

@@ -2,6 +2,7 @@ import pytest
 
 from addrep import applications
 from addrep.applications import PROBLEMS
+from addrep.errors import LimitExceededError
 from addrep.sequences import build_sieve
 from conftest import (
     CHEN_ODD_ODD_21,
@@ -110,6 +111,15 @@ def test_shared_tables_are_accepted():
     tables = build_sieve(400)
     assert applications.goldbach(120, tables).values == applications.goldbach(120).values
     assert applications.chen_total(100, tables).values == applications.chen_total(100).values
+
+
+@pytest.mark.parametrize("name", sorted(n for n, s in PROBLEMS.items() if s.sieved))
+def test_shared_tables_must_reach_the_last_target(name):
+    spec = PROBLEMS[name]
+    x_max = spec.x_of_n(50)  # lemoine-levy stops at the odd 2n - 1
+    with pytest.raises(LimitExceededError):
+        spec.compute(50, build_sieve(x_max - 1))
+    assert spec.compute(50, build_sieve(x_max)).values == spec.compute(50).values
 
 
 # --- the two-squares / two-triangular link ---------------------------------------

@@ -177,7 +177,26 @@ def test_verify_reports_first_mismatch(monkeypatch, capsys):
     assert code == EXIT_MISMATCH
     captured = capsys.readouterr()
     assert "MISMATCH goldbach n=4 x=8" in captured.out
-    assert "recursion=1 oracle=2" in captured.out
+    assert "engine=1 oracle=2" in captured.out
+
+
+def test_verify_custom_mismatch_names_the_recursion(tmp_path, monkeypatch, capsys):
+    import addrep.cli as cli
+
+    def broken_oracle(*args, **kwargs):
+        series = brute_count_series(*args, **kwargs)
+        series.values[2] += 1
+        return series
+
+    brute_count_series = cli.brute_count_series
+    monkeypatch.setattr(cli, "brute_count_series", broken_oracle)
+    odd = _odd_file(tmp_path)
+    code = main(["verify", "--problem", "custom", "--seq-a", odd,
+                 "--seq-b", odd, "--x-max", "10"])
+    assert code == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "MISMATCH custom odd-odd x=6: recursion=2 oracle=3" in captured.out
+    assert "(recursion 2 vs oracle 3)" in captured.err
 
 
 # --- bench ----------------------------------------------------------------------

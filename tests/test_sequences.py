@@ -181,7 +181,7 @@ def test_term_inputs_give_equal_sequences(terms):
 def test_terms_are_one_read_only_array():
     source = np.array([0, 4, 8])
     seq = ParitySequence(source, Parity.EVEN, 8)
-    assert ParitySequence.__slots__ == ("terms", "parity", "limit", "count_table")
+    assert ParitySequence.__slots__ == ("terms", "parity", "limit", "_count_table")
     with pytest.raises(ValueError):
         seq.terms[0] = 2
     source[0] = 2  # the caller's array stays writable
@@ -235,6 +235,20 @@ def test_tables_beyond_int32_are_refused_before_allocating():
         build_sieve(2**31, cap=2**40)
     with pytest.raises(ResourceBudgetError, match="cap"):
         build_sieve(2**31)
+
+
+def test_prefix_table_is_built_on_first_use():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        seq = ParitySequence([1, 3], Parity.ODD, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table to 10^7 would take 40 MB
+    assert seq.counting(10**7) == 2
+    assert seq.contains(3)
 
 
 def test_custom_sequence_via_make_sequence():
