@@ -1,4 +1,4 @@
-"""The built-in counting problems, expressed as data.
+"""The built-in counting problems, and custom pairs, expressed as data.
 
 Each problem in PROBLEMS lists its ``parts``: an evaluator kind and the
 builders of its two sequences.  A problem's count is the sum of its
@@ -6,6 +6,8 @@ parts' counts, and ``problem_series`` derives all three routes from
 ``parts``: the engine (one exact FFT convolution per part, behind
 ``compute`` and the functions below), the paper's recursion
 (``evaluator_series``) and brute-force enumeration (``oracle_series``).
+``custom_problem`` turns any pair of parity sequences into a one-part
+problem of the same shape, whose ``compute`` runs the recursion.
 
 * ``goldbach``        g(2n): even 2n as two odd primes (A002375);
 * ``chen_odd_odd``    g1(2n): even 2n as an odd prime plus an odd prime
@@ -30,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from . import convolution
+from .errors import LimitExceededError, ParityMismatchError
 from .oracle import brute_count_series
-from .recursion import _BASES, CountSeries, EvaluatorKind, RecursionEvaluator
+from .recursion import _BASES, _PARITIES, CountSeries, EvaluatorKind, RecursionEvaluator
 from .sequences import (
     DEFAULT_TABLE_CAP,
     Parity,
@@ -123,9 +126,10 @@ class ProblemSpec:
 
     ``compute`` defaults to the engine route and ``evaluator_series`` and
     ``oracle_series`` to the recursion and oracle routes, all run over
-    ``parts`` by ``problem_series``.  A ``sieved`` problem's ``compute``
-    also takes sieve tables covering ``x_of_n(n_max)``; ``run`` builds
-    them under a caller's table cap.
+    ``parts`` by ``problem_series``.  ``compute`` and ``oracle_series``
+    also take sieve tables covering ``x_of_n(n_max)``, which a ``sieved``
+    problem builds for itself when given None; ``sieve`` builds them
+    under a caller's table cap.
     """
 
     name: str
@@ -138,7 +142,7 @@ class ProblemSpec:
     sieved: bool = False
     compute: Callable[..., CountSeries] | None = None
     evaluator_series: Callable[[int], list[int]] | None = None
-    oracle_series: Callable[[int], list[int]] | None = None
+    oracle_series: Callable[..., list[int]] | None = None
 
     def __post_init__(self):
         if self.compute is None:
@@ -156,11 +160,13 @@ class ProblemSpec:
     def x_of_n(self, n: int) -> int:
         return self.x_base + self.x_step * (n - self.n_start)
 
+    def sieve(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables | None:
+        """The sieve a route to n_max reads, capped at ``cap`` entries, or None."""
+        return build_sieve(self.x_of_n(n_max), cap) if self.sieved else None
+
     def run(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> CountSeries:
         """``compute(n_max)`` with any sieve it needs limited to ``cap`` entries."""
-        if self.sieved:
-            return self.compute(n_max, build_sieve(self.x_of_n(n_max), cap))
-        return self.compute(n_max)
+        return self.compute(n_max, self.sieve(n_max, cap))
 
 
 def problem_series(
@@ -187,6 +193,9 @@ def problem_series(
             make_b = make_oracle_b
         seq_a = make_a(x_max, tables)
         seq_b = seq_a if make_b is make_a else make_b(x_max, tables)
+        known = min(seq_a.limit, seq_b.limit)
+        if known < x_max:  # the engine would count missing terms as absent
+            raise LimitExceededError(f"sequences are known up to {known}, not {x_max}")
         if route == "engine":
             b_terms = None if seq_b is seq_a else seq_b.terms
             values = convolution.count_series(kind, x_max, seq_a.terms, b_terms)
@@ -205,6 +214,31 @@ def problem_series(
         assert offset >= 0 and not off_lattice and not off_stride
         totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
     return totals.tolist()
+
+
+_KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
+
+
+def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
+    """Two parity sequences as a one-part problem whose ``compute`` runs the
+    recursion: a(n) counts x = base + 2n, n >= 0.  An odd sequence given
+    before an even one takes the second role; the counts are unchanged."""
+    if (seq_a.parity, seq_b.parity) == (Parity.ODD, Parity.EVEN):
+        seq_a, seq_b = seq_b, seq_a
+    kind = _KIND_BY_PARITY.get((seq_a.parity, seq_b.parity))
+    if kind is None:
+        raise ParityMismatchError(
+            f"no recursion for parities {seq_a.parity.value}/{seq_b.parity.value}"
+        )
+    spec = ProblemSpec(
+        name=f"custom {kind.value}", oeis=None, n_start=0, x_base=_BASES[kind], x_step=2,
+        argument_desc="a(n) counts decompositions of x = base + 2*n, n >= 0",
+        parts=((kind, lambda limit, tables: seq_a, lambda limit, tables: seq_b, None),),
+        compute=lambda n_max, tables=None: CountSeries(
+            spec.x_base, spec.evaluator_series(n_max)
+        ),
+    )
+    return spec
 
 
 PROBLEMS: dict[str, ProblemSpec] = {

@@ -1,5 +1,7 @@
 """Command line front end: compute, verify and benchmark count series.
 
+Every command resolves ``--problem``, a built-in problem or a custom pair
+of sequence files, to a ``ProblemSpec`` and runs that spec's routes.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 resource limit.
 """
@@ -12,8 +14,9 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
-from .applications import PROBLEMS, two_triangular
+from .applications import PROBLEMS, ProblemSpec, custom_problem, two_triangular
 from .errors import (
     AddrepError,
     ContainmentError,
@@ -23,9 +26,8 @@ from .errors import (
     ResourceBudgetError,
     SequenceFormatError,
 )
-from .oracle import brute_count_series
-from .recursion import _PARITIES, EvaluatorKind, RecursionEvaluator
-from .sequences import DEFAULT_TABLE_CAP, Parity, load_sequence
+from .recursion import EvaluatorKind
+from .sequences import DEFAULT_TABLE_CAP, load_sequence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -84,23 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--out", dest="output_path", default="-", help="output path, - for stdout")
 
-    verify = sub.add_parser("verify", help="check the recursion against brute force")
+    verify = sub.add_parser("verify", help="check a series term by term against brute force")
     add_common(verify)
 
-    bench = sub.add_parser("bench", help="time recursion vs brute force at geometric steps")
+    bench = sub.add_parser("bench", help="time every route of a problem at geometric steps")
     add_common(bench)
     return parser
-
-
-def _require_n_max(
-    args: argparse.Namespace, n_start: int, default: int | None = None
-) -> int:
-    n_max = args.n_max if args.n_max is not None else default
-    if n_max is None:
-        raise CliUsageError(f"--n-max is required for problem {args.problem!r}")
-    if n_max < n_start:
-        raise CliUsageError(f"--n-max must be >= {n_start} for {args.problem!r}")
-    return n_max
 
 
 def _check_table_budget(needed: int, cap: int) -> None:
@@ -110,57 +101,70 @@ def _check_table_budget(needed: int, cap: int) -> None:
         )
 
 
-_KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
+class Resolved(NamedTuple):
+    """A ``--problem`` made concrete: its spec, last index n and row labels."""
+
+    spec: ProblemSpec
+    n_max: int
+    route: str  # the route behind spec.compute, as verify names it
+    keys: range  # each output row's first column: n, or the target x
+    label: str  # verify's row label, formatted with n and x
+    header: list[str]
+    meta: dict
 
 
-def _custom_evaluator(args: argparse.Namespace) -> tuple[RecursionEvaluator, int]:
-    if not args.seq_a or not args.seq_b:
-        raise CliUsageError("custom runs need --seq-a and --seq-b")
-    if args.x_max is None:
-        raise CliUsageError("custom runs need --x-max")
-    if args.x_max < 0:
-        raise CliUsageError("--x-max must be nonnegative")
-    _check_table_budget(args.x_max, args.limit)
-    a = load_sequence(args.seq_a, limit=args.x_max)
-    b = load_sequence(args.seq_b, limit=args.x_max)
-    if (a.parity, b.parity) == (Parity.ODD, Parity.EVEN):
-        a, b = b, a  # even role first; counts are unchanged
-    kind = _KIND_BY_PARITY.get((a.parity, b.parity))
-    if kind is None:
-        raise CliUsageError(
-            f"no recursion for parities {a.parity.value}/{b.parity.value}"
+def _problem(
+    args: argparse.Namespace, default_n: int | None = None, x_cap: int | None = None
+) -> Resolved:
+    """Check the flags, files and table budget and resolve ``--problem``;
+    the only place that knows about custom pairs.  ``x_cap`` bounds the
+    last target (verify's ``--oracle-cap``)."""
+    if args.problem == "custom":
+        if not (args.seq_a and args.seq_b and args.x_max is not None and args.x_max >= 0):
+            raise CliUsageError("custom runs need --seq-a, --seq-b and --x-max >= 0")
+        _check_table_budget(args.x_max, args.limit)
+        spec = custom_problem(
+            load_sequence(args.seq_a, limit=args.x_max),
+            load_sequence(args.seq_b, limit=args.x_max),
         )
-    if args.theorem is not None and args.theorem != kind.value:
-        raise CliUsageError(
-            f"--theorem {args.theorem} does not match the file parities ({kind.value})"
+        kind = spec.parts[0][0].value
+        if args.theorem not in (None, kind):
+            raise CliUsageError(
+                f"--theorem {args.theorem} does not match the file parities ({kind})"
+            )
+        if args.x_max < spec.x_base:
+            raise CliUsageError(f"--x-max {args.x_max} is below the base target {spec.x_base}")
+        n_max = (args.x_max - spec.x_base) // 2
+        run = Resolved(
+            spec, n_max, "recursion", range(spec.x_base, args.x_max + 1, 2), "x={x}",
+            [f"# {spec.name} recursion; lines are 'x a(x)' for the target x",
+             f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}"],
+            {"problem": "custom", "kind": kind},
         )
-    ev = RecursionEvaluator(kind, a, b)
-    base = ev.computed.base
-    if args.x_max < base:
-        raise CliUsageError(f"--x-max {args.x_max} is below the base target {base}")
-    x_last = base + 2 * ((args.x_max - base) // 2)
-    return ev, x_last
+    else:
+        spec = PROBLEMS[args.problem]
+        n_max = args.n_max if args.n_max is not None else default_n
+        if n_max is None:
+            raise CliUsageError(f"--n-max is required for problem {args.problem!r}")
+        if n_max < spec.n_start:
+            raise CliUsageError(f"--n-max must be >= {spec.n_start} for {args.problem!r}")
+        oeis = [f"# cross-reference: OEIS {spec.oeis}"] if spec.oeis else []
+        run = Resolved(
+            spec, n_max, "engine", range(spec.n_start, n_max + 1), "n={n} x={x}",
+            [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"] + oeis,
+            {"problem": spec.name, "oeis": spec.oeis},
+        )
+    x_last = spec.x_of_n(n_max)
+    if x_cap is not None and x_last > x_cap:
+        raise CliUsageError(f"x {x_last} beyond --oracle-cap {x_cap}")
+    _check_table_budget(x_last, args.limit)
+    return run
 
 
 def _compute_rows(args: argparse.Namespace):
-    if args.problem == "custom":
-        ev, x_last = _custom_evaluator(args)
-        series = ev.run_to(x_last)
-        header = [
-            f"# custom {ev.kind.value} recursion; lines are 'x a(x)' for the target x",
-            f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}",
-        ]
-        rows = zip(series.arguments(), series.values)
-        return rows, header, {"problem": "custom", "kind": ev.kind.value}
-    spec = PROBLEMS[args.problem]
-    n_max = _require_n_max(args, spec.n_start)
-    _check_table_budget(max(spec.x_of_n(n_max), 0), args.limit)
-    series = spec.run(n_max, args.limit)
-    rows = zip(range(spec.n_start, n_max + 1), series.values)
-    header = [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"]
-    if spec.oeis:
-        header.append(f"# cross-reference: OEIS {spec.oeis}")
-    return rows, header, {"problem": spec.name, "oeis": spec.oeis}
+    run = _problem(args)
+    series = run.spec.run(run.n_max, args.limit)
+    return zip(run.keys, series.values), run.header, run.meta
 
 
 def write_bfile(fh, rows, header_lines) -> None:
@@ -231,63 +235,26 @@ def _write_rows(fh, fmt, rows, header, meta) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.problem == "custom":
-        ev, x_last = _custom_evaluator(args)
-        if x_last > args.oracle_cap:
-            raise CliUsageError(
-                f"x {x_last} beyond --oracle-cap {args.oracle_cap}"
-            )
-        series = ev.run_to(x_last)
-        oracle = brute_count_series(
-            ev.seq_a, ev.seq_b, x_last,
-            role_tagged=ev.kind is EvaluatorKind.EVEN_ODD,
-            base=series.base,
-        )
-        labelled = (
-            (f"x={x}", got, want)
-            for x, got, want in zip(series.arguments(), series.values, oracle.values)
-        )
-        terms = len(series)
-        title = f"custom {ev.kind.value}"
-        route = "recursion"
-    else:
-        spec = PROBLEMS[args.problem]
-        n_max = _require_n_max(args, spec.n_start, default=DEFAULT_VERIFY_N)
-        x_last = spec.x_of_n(n_max)
-        if x_last > args.oracle_cap:
-            raise CliUsageError(
-                f"n-max {n_max} reaches x {x_last}, beyond --oracle-cap {args.oracle_cap}"
-            )
-        _check_table_budget(max(x_last, 0), args.limit)
-        got_values = spec.run(n_max, args.limit).values
-        want_values = spec.oracle_series(n_max)
-        labelled = (
-            (f"n={n} x={spec.x_of_n(n)}", got, want)
-            for n, got, want in zip(
-                range(spec.n_start, n_max + 1), got_values, want_values
-            )
-        )
-        terms = len(got_values)
-        title = spec.name
-        route = "engine"
-    for label, got, want in labelled:
+    run = _problem(args, DEFAULT_VERIFY_N, args.oracle_cap)
+    spec, n_max = run.spec, run.n_max
+    tables = spec.sieve(n_max, args.limit)
+    got_values = spec.compute(n_max, tables).values
+    want_values = spec.oracle_series(n_max, tables=tables)
+    for n, got, want in zip(range(spec.n_start, n_max + 1), got_values, want_values):
+        label = run.label.format(n=n, x=spec.x_of_n(n))
         if got != want:
-            print(f"MISMATCH {title} {label}: {route}={got} oracle={want}")
-            print(
-                f"verification failed at {label} ({route} {got} vs oracle {want})",
-                file=sys.stderr,
-            )
+            print(f"MISMATCH {spec.name} {label}: {run.route}={got} oracle={want}")
+            print(f"verification failed at {label} ({run.route} {got} vs oracle {want})",
+                  file=sys.stderr)
             return EXIT_MISMATCH
-        print(f"PASS {title} {label} count={got}")
-    print(f"PASS {title}: all {terms} terms match the brute-force oracle")
+        print(f"PASS {spec.name} {label} count={got}")
+    print(f"PASS {spec.name}: all {len(got_values)} terms match the brute-force oracle")
     return EXIT_OK
 
 
 def _bench_steps(n_start: int, n_max: int) -> list[int]:
     # Geometric steps doubling from 10 (or the first valid index) to n_max.
-    first = max(n_start, 1)
-    steps = []
-    v = max(first, min(10, n_max))
+    steps, v = [], max(n_start, 1, min(10, n_max))
     while v < n_max:
         steps.append(v)
         v *= 2
@@ -298,29 +265,26 @@ def _bench_steps(n_start: int, n_max: int) -> list[int]:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.problem == "custom":
         raise CliUsageError("bench supports built-in problems only")
-    spec = PROBLEMS[args.problem]
-    n_max = _require_n_max(args, spec.n_start, default=1000)
-    _check_table_budget(max(spec.x_of_n(n_max), 0), args.limit)
+    run = _problem(args, default_n=1000)
+    spec = run.spec
+    routes = {"engine": lambda n: spec.compute(n).values,
+              "recursion": spec.evaluator_series, "oracle": spec.oracle_series}
     lemma_column = spec.name == "two-squares"
-    header = "n_max,recursion_s,oracle_s"
-    if lemma_column:
-        header += ",bijection_check"
-    print(header)
-    for n in _bench_steps(spec.n_start, n_max):
-        t0 = time.perf_counter()
-        values = spec.evaluator_series(n)
-        t_rec = time.perf_counter() - t0
-        if spec.x_of_n(n) <= args.oracle_cap:
+    header = ["n_max"] + [f"{route}_s" for route in routes]
+    print(",".join(header + ["bijection_check"] * lemma_column))
+    for n in _bench_steps(spec.n_start, run.n_max):
+        row, values = [str(n)], {}
+        for route, series in routes.items():
+            if route == "oracle" and spec.x_of_n(n) > args.oracle_cap:
+                row.append("")
+                continue
             t0 = time.perf_counter()
-            spec.oracle_series(n)
-            t_orc = f"{time.perf_counter() - t0:.6f}"
-        else:
-            t_orc = ""
-        row = f"{n},{t_rec:.6f},{t_orc}"
+            values[route] = series(n)
+            row.append(f"{time.perf_counter() - t0:.6f}")
         if lemma_column:
-            ok = values == two_triangular(n).values
-            row += f",{'OK' if ok else 'FAIL'}"
-        print(row)
+            ok = values["recursion"] == two_triangular(n).values
+            row.append("OK" if ok else "FAIL")
+        print(",".join(row))
     return EXIT_OK
 
 

@@ -1,15 +1,25 @@
+import random
+
 import pytest
 
 from addrep import applications
-from addrep.applications import PROBLEMS
-from addrep.errors import LimitExceededError
-from addrep.sequences import build_sieve
+from addrep.applications import PROBLEMS, custom_problem, problem_series
+from addrep.errors import LimitExceededError, ParityMismatchError
+from addrep.recursion import EvaluatorKind
+from addrep.sequences import (
+    Parity,
+    ParitySequence,
+    SequenceKind,
+    build_sieve,
+    make_sequence,
+)
 from conftest import (
     CHEN_ODD_ODD_21,
     CHEN_TOTAL_21,
     GOLDBACH_30,
     LEMOINE_26,
     TWO_TRIANGULAR_26,
+    random_pair,
 )
 
 
@@ -88,13 +98,43 @@ def test_rejects_too_small_n(name):
 
 # --- three-way equality: recursion, generic evaluator, brute force ---------------
 
-@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def _custom_problems():
+    """Seeded random pairs of every parity shape, an even-odd pair given
+    odd first, and a one-term even sequence, as custom problems."""
+    rng = random.Random(2009)
+    pairs = {f"custom-{kind.value}": random_pair(rng, kind, 242) for kind in EvaluatorKind}
+    even, odd = random_pair(rng, EvaluatorKind.EVEN_ODD, 242)
+    pairs["custom-odd-first"] = (odd, even)
+    pairs["custom-one-term"] = (ParitySequence([2], Parity.EVEN, 242), even)
+    return {name: custom_problem(a, b) for name, (a, b) in pairs.items()}
+
+
+SPECS = {**PROBLEMS, **_custom_problems()}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_recursion_equals_evaluator_and_oracle(name):
-    spec = PROBLEMS[name]
+    spec = SPECS[name]
     n_max = 120
-    fast = spec.compute(n_max).values
+    fast = problem_series(spec, n_max, "engine")
+    assert fast == spec.compute(n_max).values
     assert fast == spec.evaluator_series(n_max)
     assert fast == spec.oracle_series(n_max)
+
+
+def test_custom_problem_rejects_mixed_parity():
+    primes = make_sequence(SequenceKind.PRIMES, 50)  # 2 and the odd primes
+    with pytest.raises(ParityMismatchError):
+        custom_problem(primes, primes)
+
+
+@pytest.mark.parametrize("route", ["engine", "recursion", "oracle"])
+def test_custom_routes_refuse_targets_past_the_sequences(route):
+    odd = make_sequence(SequenceKind.ODD_PRIMES, 50)
+    spec = custom_problem(odd, odd)
+    assert problem_series(spec, 24, route) == problem_series(spec, 24, "oracle")
+    with pytest.raises(LimitExceededError):
+        problem_series(spec, 25, route)  # target 52
 
 
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])

@@ -118,6 +118,21 @@ def test_custom_even_odd_roles_swap(tmp_path, capsys):
     assert data[-1] == "5 3"  # 0+5, 2+3, 4+1
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("first, x_max, base", [
+    ("parity: even\n0\n", 0, 1),  # even-odd targets start at 1
+    ("parity: odd\n1\n", 1, 2),   # odd-odd targets start at 2
+])
+def test_custom_x_max_below_base_is_a_usage_error(tmp_path, capsys, command,
+                                                  first, x_max, base):
+    path = tmp_path / "first.txt"
+    path.write_text(first)
+    code = main([command, "--problem", "custom", "--seq-a", str(path),
+                 "--seq-b", _odd_file(tmp_path), "--x-max", str(x_max)])
+    assert code == EXIT_USAGE
+    assert f"--x-max {x_max} is below the base target {base}" in capsys.readouterr().err
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_goldbach_500(capsys):
@@ -153,6 +168,24 @@ def test_verify_custom_and_corrupted_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_builds_the_sieve_once(monkeypatch, capsys):
+    import addrep.applications as applications
+    import addrep.sequences as sequences
+
+    seen = []
+    build_sieve = sequences.build_sieve
+
+    def spy(limit, cap=sequences.DEFAULT_TABLE_CAP):
+        seen.append((limit, cap))
+        return build_sieve(limit, cap)
+
+    # The engine and the oracle share the one sieve built under --limit.
+    monkeypatch.setattr(applications, "build_sieve", spy)
+    monkeypatch.setattr(sequences, "build_sieve", spy)
+    assert main(["verify", "--problem", "goldbach", "--n-max", "5000"]) == EXIT_OK
+    assert seen == [(10_000, sequences.DEFAULT_TABLE_CAP)]
+
+
 def test_verify_oracle_cap(capsys):
     code = main(["verify", "--problem", "goldbach", "--n-max", "500",
                  "--oracle-cap", "100"])
@@ -166,8 +199,8 @@ def test_verify_reports_first_mismatch(monkeypatch, capsys):
 
     spec = PROBLEMS["goldbach"]
 
-    def broken_oracle(n_max):
-        values = spec.oracle_series(n_max)
+    def broken_oracle(n_max, tables=None):
+        values = spec.oracle_series(n_max, tables=tables)
         values[3] += 1
         return values
 
@@ -181,15 +214,15 @@ def test_verify_reports_first_mismatch(monkeypatch, capsys):
 
 
 def test_verify_custom_mismatch_names_the_recursion(tmp_path, monkeypatch, capsys):
-    import addrep.cli as cli
+    import addrep.applications as applications
 
     def broken_oracle(*args, **kwargs):
         series = brute_count_series(*args, **kwargs)
         series.values[2] += 1
         return series
 
-    brute_count_series = cli.brute_count_series
-    monkeypatch.setattr(cli, "brute_count_series", broken_oracle)
+    brute_count_series = applications.brute_count_series
+    monkeypatch.setattr(applications, "brute_count_series", broken_oracle)
     odd = _odd_file(tmp_path)
     code = main(["verify", "--problem", "custom", "--seq-a", odd,
                  "--seq-b", odd, "--x-max", "10"])
@@ -205,7 +238,7 @@ def test_bench_smoke(capsys):
     code = main(["bench", "--problem", "goldbach", "--n-max", "40"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n_max,recursion_s,oracle_s"
+    assert lines[0] == "n_max,engine_s,recursion_s,oracle_s"
     assert lines[-1].startswith("40,")
     for line in lines[1:]:
         assert float(line.split(",")[1]) >= 0.0

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the command line reaches the count routes only through ``applications``.
 
 No linter ships with the project, so this stands in for the unused-import
 check: names left behind when code is deleted fail here.
@@ -47,3 +48,20 @@ def test_an_unused_import_is_reported(tmp_path):
         "x = np.arange(isqrt(9))\n"
     )
     assert unused_imports(path) == ["mod.py:2: os", "mod.py:4: comb"]
+
+
+def test_cli_runs_routes_only_through_problem_specs():
+    # The CLI names no oracle and no evaluator of its own: every route it
+    # runs comes from a ProblemSpec.  EvaluatorKind names --theorem's choices.
+    path = Path(addrep.__file__).parent / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.name, "*") for alias in node.names)
+    route_imports = {
+        (module.removeprefix("addrep."), name) for module, name in imported
+        if module.removeprefix("addrep.") in ("oracle", "recursion")
+    }
+    assert route_imports <= {("recursion", "EvaluatorKind")}
