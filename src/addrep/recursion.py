@@ -14,7 +14,11 @@ terms up to half the target, a cross product of the two counting
 functions at the midpoint, for the unordered kinds a correction built
 from the shared terms, minus the sum of every previously computed count.
 That running tail makes a full series cost one pass instead of a
-re-summation per target.
+re-summation per target.  ``RecursionEvaluator.run_to`` is the one step
+loop (``next`` runs it one target on).  A step costs at most three capped
+sums, each a gather over the terms up to half the target (three for the
+general and subset formulas, two for even-odd, one for equal), so a
+series to N sums O(N * #terms <= N/2) table entries.
 
 For the unordered kinds two shortcut step formulas exist: ``SUBSET`` when
 the first sequence is contained in the second, and ``EQUAL`` when both
@@ -28,7 +32,6 @@ sequences may run in parallel.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,18 +99,20 @@ class CountSeries:
 
 def _capped_sum(counts: np.ndarray, terms: np.ndarray, cap: int, x: int) -> int:
     """Sum of counts[x - t] over the leading terms t <= cap."""
-    j = int(np.searchsorted(terms, cap, side="right"))
-    if j == 0:
-        return 0
-    return int(counts[x - terms[:j]].sum(dtype=np.int64))
+    if not 0 <= x < len(counts):
+        # The reversed view below would clamp x and shift every index.
+        raise LimitExceededError(f"argument {x} outside the count table 0..{len(counts) - 1}")
+    j = terms.searchsorted(cap, side="right")
+    # counts[x::-1][t] is counts[x - t], read without an index temporary.
+    return int(np.add.reduce(counts[x::-1][terms[:j]], dtype=np.int64))
 
 
 class RecursionEvaluator:
     """Stateful evaluator producing one representation-count series.
 
     The constructor seeds the base count by a direct membership test
-    (targets 2, 0 and 1 admit at most one decomposition); every ``next``
-    call advances the argument by 2.  ``tail_sum`` always equals the sum
+    (targets 2, 0 and 1 admit at most one decomposition); ``run_to``
+    advances the argument by 2 a step.  ``tail_sum`` always equals the sum
     of the values computed so far.
     """
 
@@ -150,24 +155,20 @@ class RecursionEvaluator:
         self.seq_b = seq_b
         if kind is EvaluatorKind.EVEN_ODD:
             self.seq_w = None
+            self._functional = self._step_even_odd
         elif formula is Formula.GENERAL:
             self.seq_w = intersect(seq_a, seq_b)
+            self._functional = self._step_general
         else:
             # With seq_a contained in (or equal to) seq_b the shared part
             # is seq_a itself.
             self.seq_w = seq_a
+            self._functional = self._step_subset if formula is Formula.SUBSET else self._step_equal
 
-        seed = self._seed()
+        first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1
+        seed = int(seq_a.contains(first) and seq_b.contains(base - first))
         self.computed = CountSeries(base, [seed])
         self.tail_sum = seed
-
-    def _seed(self) -> int:
-        a, b = self.seq_a, self.seq_b
-        if self.kind is EvaluatorKind.ODD_ODD:
-            return int(a.contains(1) and b.contains(1))
-        if self.kind is EvaluatorKind.EVEN_EVEN:
-            return int(a.contains(0) and b.contains(0))
-        return int(a.contains(0) and b.contains(1))
 
     @property
     def last_argument(self) -> int:
@@ -176,31 +177,31 @@ class RecursionEvaluator:
     def next(self) -> tuple[int, int]:
         """Compute, record and return (argument, count) for the next target."""
         x = self.last_argument + 2
-        if x > self.seq_a.limit:
-            raise LimitExceededError(
-                f"argument {x} beyond the materialized limit {self.seq_a.limit}"
-            )
-        if self.kind is EvaluatorKind.EVEN_ODD:
-            value = self._step_even_odd(x)
-        elif self.formula is Formula.SUBSET:
-            value = self._step_subset(x)
-        elif self.formula is Formula.EQUAL:
-            value = self._step_equal(x)
-        else:
-            value = self._step_general(x)
-        self.computed.values.append(value)
-        self.tail_sum += value
-        return x, value
+        self.run_to(x)
+        return x, self.computed.values[-1]
 
     def run_to(self, x_max: int) -> CountSeries:
-        """Fill the series through x_max; a no-op for already computed parts."""
+        """Fill the series through x_max; a no-op for already computed parts.
+
+        A target past the sequences' limit raises LimitExceededError with
+        every value up to the limit recorded.
+        """
         base = self.computed.base
         if x_max < base:
             raise ValueError(f"x_max {x_max} is below the base argument {base}")
         if (x_max - base) % 2:
             raise ValueError(f"x_max {x_max} is off the argument lattice of {base}")
-        while self.last_argument < x_max:
-            self.next()
+        values, functional, limit = self.computed.values, self._functional, self.seq_a.limit
+        x = self.last_argument
+        while x < x_max:
+            x += 2
+            if x > limit:
+                raise LimitExceededError(
+                    f"argument {x} beyond the materialized limit {limit}"
+                )
+            value = functional(x) - self.tail_sum
+            values.append(value)
+            self.tail_sum += value
         return self.computed
 
     def specialized_subset(self) -> "RecursionEvaluator":
@@ -211,15 +212,18 @@ class RecursionEvaluator:
         """Fresh evaluator using the equal-sequences shortcut formula."""
         return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.EQUAL)
 
+    # Each step formula returns the one-shot count functional at x; run_to
+    # subtracts the running tail to get the count itself.
+
     def _step_general(self, x: int) -> int:
         a, b, w = self.seq_a, self.seq_b, self.seq_w
         half = x // 2
         s_over_b = _capped_sum(a.count_table, b.terms, half, x)
         s_over_a = _capped_sum(b.count_table, a.terms, half, x)
         s_over_w = _capped_sum(w.count_table, w.terms, half, x)
-        cross = a.counting(half) * b.counting(half)
-        shared = math.comb(w.counting(half) + 1, 2)
-        return s_over_b + s_over_a - s_over_w - cross + shared - self.tail_sum
+        cross = int(a.count_table[half]) * int(b.count_table[half])
+        n_w = int(w.count_table[half])
+        return s_over_b + s_over_a - s_over_w - cross + n_w * (n_w + 1) // 2
 
     def _step_subset(self, x: int) -> int:
         a, b = self.seq_a, self.seq_b
@@ -228,19 +232,18 @@ class RecursionEvaluator:
         s_diff = _capped_sum(b.count_table, a.terms, half, x) - _capped_sum(
             a.count_table, a.terms, half, x
         )
-        cross = a.counting(half) * b.counting(half)
-        shared = math.comb(a.counting(half) + 1, 2)
-        return s_over_b + s_diff - cross + shared - self.tail_sum
+        n_a = int(a.count_table[half])
+        return s_over_b + s_diff - n_a * int(b.count_table[half]) + n_a * (n_a + 1) // 2
 
     def _step_equal(self, x: int) -> int:
         a = self.seq_a
         half = x // 2
-        s = _capped_sum(a.count_table, a.terms, half, x)
-        return s - math.comb(a.counting(half), 2) - self.tail_sum
+        n_a = int(a.count_table[half])
+        return _capped_sum(a.count_table, a.terms, half, x) - n_a * (n_a - 1) // 2
 
     def _step_even_odd(self, x: int) -> int:
         a, b = self.seq_a, self.seq_b
         half = (x + 1) // 2
         s_over_b = _capped_sum(a.count_table, b.terms, half, x)
         s_over_a = _capped_sum(b.count_table, a.terms, half, x)
-        return s_over_b + s_over_a - a.counting(half) * b.counting(half) - self.tail_sum
+        return s_over_b + s_over_a - int(a.count_table[half]) * int(b.count_table[half])

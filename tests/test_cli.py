@@ -252,6 +252,64 @@ def test_bench_two_squares_bijection_column(capsys):
     assert all(line.endswith(",OK") for line in lines[1:])
 
 
+def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):
+    import dataclasses
+    import time
+    import types
+
+    import addrep.cli as cli
+    from addrep.applications import PROBLEMS
+
+    events = ["start"]
+
+    def spy(route, series):
+        def call(*args, **kwargs):
+            events.append(route)
+            return series(*args, **kwargs)
+        return call
+
+    def clock():
+        events.append("clock")
+        return time.perf_counter()
+
+    spec = PROBLEMS["goldbach"]
+    routes = {"compute": "engine", "evaluator_series": "recursion",
+              "oracle_series": "oracle"}
+    rigged = dataclasses.replace(
+        spec, **{field: spy(route, getattr(spec, field)) for field, route in routes.items()}
+    )
+    monkeypatch.setitem(PROBLEMS, "goldbach", rigged)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock))
+    assert main(["bench", "--problem", "goldbach", "--n-max", "40"]) == EXIT_OK
+    for route in routes.values():
+        calls = [i for i, event in enumerate(events) if event == route]
+        timed = [k for k, i in enumerate(calls) if events[i - 1] == "clock"]
+        assert timed[0] == 1, route
+
+
+def test_closed_stdout_ends_quietly():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # About 600 kB of rows: far more than a pipe holds, so the writer is
+    # still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "addrep.cli", "compute", "--problem", "goldbach",
+         "--n-max", "50000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# goldbach")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert err == b""
+
+
 def test_bench_rejects_custom(capsys):
     assert main(["bench", "--problem", "custom"]) == EXIT_USAGE
 

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from addrep.convolution import count_series
 from addrep.errors import (
     ContainmentError,
     LimitExceededError,
@@ -11,10 +13,12 @@ from addrep.errors import (
 )
 from addrep.oracle import brute_count_series
 from addrep.recursion import (
+    _BASES,
     CountSeries,
     EvaluatorKind,
     Formula,
     RecursionEvaluator,
+    _capped_sum,
 )
 from addrep.sequences import Parity, ParitySequence, SequenceKind, intersect, make_sequence
 from conftest import random_pair, random_subset_pair
@@ -117,6 +121,84 @@ def test_run_to_validation():
         ev.run_to(7)  # off the even lattice
     with pytest.raises(LimitExceededError):
         ev.run_to(22)
+
+
+def test_run_to_past_the_limit_keeps_every_value_up_to_it():
+    rng = random.Random(33)
+    a, b = random_pair(rng, EvaluatorKind.EVEN_ODD, 41)
+    ev = RecursionEvaluator(EvaluatorKind.EVEN_ODD, a, b)
+    with pytest.raises(LimitExceededError, match="argument 43 beyond the materialized limit 41"):
+        ev.run_to(45)
+    want = RecursionEvaluator(EvaluatorKind.EVEN_ODD, a, b).run_to(41)
+    assert ev.computed.values == want.values
+    assert ev.last_argument == 41
+    assert ev.tail_sum == sum(want.values)
+    with pytest.raises(LimitExceededError, match="argument 43 beyond"):
+        ev.next()
+    assert ev.computed.values == want.values
+
+
+def _evaluator_cases():
+    """One seeded pair for every kind and each formula it admits."""
+    rng = random.Random(4242)
+    for kind in EvaluatorKind:
+        a, b = random_pair(rng, kind, 120)
+        pairs = {Formula.GENERAL: (a, b)}
+        if kind is not EvaluatorKind.EVEN_ODD:
+            pairs[Formula.SUBSET] = random_subset_pair(rng, kind, 120)
+            pairs[Formula.EQUAL] = (a, a)
+        for formula, pair in pairs.items():
+            yield pytest.param(kind, formula, *pair, id=f"{kind.value}-{formula.value}")
+
+
+@pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
+def test_next_steps_agree_with_run_to(kind, formula, a, b):
+    stepped = RecursionEvaluator(kind, a, b, formula)
+    base = stepped.computed.base
+    pairs = [stepped.next() for _ in range(30)]
+    ran = RecursionEvaluator(kind, a, b, formula)
+    ran.run_to(base + 2 * 30)
+    assert pairs == ran.computed.items()[1:]
+    assert stepped.computed.values == ran.computed.values
+    assert stepped.tail_sum == ran.tail_sum == sum(ran.computed.values)
+
+
+# --- capped sums -----------------------------------------------------------
+
+def _plain_capped_sum(counts, terms, cap, x):
+    return sum(int(counts[x - t]) for t in terms.tolist() if t <= cap)
+
+
+def test_capped_sum_matches_a_plain_sum():
+    rng = random.Random(808)
+    for _ in range(20):
+        limit = rng.randrange(10, 300)
+        counts = np.cumsum(
+            np.array([rng.random() < 0.5 for _ in range(limit + 1)], dtype=np.int32)
+        )
+        terms = np.array(sorted(rng.sample(range(limit + 1), rng.randrange(1, limit // 2))),
+                         dtype=np.int64)
+        x = rng.randrange(int(terms[-1]), limit + 1)
+        cases = [
+            (int(terms[0]) - 1, x),  # no term is under the cap
+            (x // 2, x),
+            (x + 5, x),  # the cap is past the last term
+            (int(terms[-1]), int(terms[-1])),  # a term equal to x
+            (limit, limit),  # x is the table's last index
+        ]
+        for cap, x in cases:
+            want = _plain_capped_sum(counts, terms, cap, x)
+            assert _capped_sum(counts, terms, cap, x) == want, (cap, x)
+
+
+def test_capped_sum_refuses_x_past_the_table():
+    # A reversed view from such an x would clamp it and shift every index.
+    counts = np.arange(11, dtype=np.int32)
+    terms = np.array([1, 3, 5], dtype=np.int64)
+    assert _capped_sum(counts, terms, 5, 10) == 9 + 7 + 5
+    for x in (-1, 11, 12, 40):
+        with pytest.raises(LimitExceededError):
+            _capped_sum(counts, terms, 5, x)
 
 
 # --- constructor errors ----------------------------------------------------
@@ -230,6 +312,16 @@ def test_matches_oracle_randomized(kind):
         assert got.values == want.values
         assert all(v >= 0 for v in got.values)
         assert ev.tail_sum == sum(got.values)
+
+
+@pytest.mark.parametrize("kind", list(EvaluatorKind))
+def test_matches_engine_at_the_custom_benchmark_size(kind):
+    rng = random.Random(20_000 + _BASES[kind])
+    a, b = random_pair(rng, kind, 20_000)
+    base = _BASES[kind]
+    x_last = base + 2 * ((20_000 - base) // 2)
+    got = RecursionEvaluator(kind, a, b).run_to(x_last).values
+    assert got == count_series(kind, x_last, a.terms, b.terms).tolist()
 
 
 def test_swap_symmetry_unordered_kinds():
