@@ -18,7 +18,8 @@ re-summation per target.  ``RecursionEvaluator.run_to`` is the one step
 loop (``next`` runs it one target on).  A step costs at most three capped
 sums, each a gather over the terms up to half the target (three for the
 general and subset formulas, two for even-odd, one for equal), so a
-series to N sums O(N * #terms <= N/2) table entries.
+series to N sums O(N * #terms <= N/2) entries of int32 tables of S(x),
+x = 0..limit; an evaluator builds its own, one per distinct sequence.
 
 For the unordered kinds two shortcut step formulas exist: ``SUBSET`` when
 the first sequence is contained in the second, and ``EQUAL`` when both
@@ -97,6 +98,13 @@ class CountSeries:
         return len(self.values)
 
 
+def _prefix_table(seq: ParitySequence) -> np.ndarray:
+    """S(x) = #{terms <= x} for x = 0..seq.limit, summed in place as int32."""
+    table = np.zeros(seq.limit + 1, dtype=np.int32)
+    table[seq.terms] = 1
+    return np.cumsum(table, out=table)
+
+
 def _capped_sum(counts: np.ndarray, terms: np.ndarray, cap: int, x: int) -> int:
     """Sum of counts[x - t] over the leading terms t <= cap."""
     if not 0 <= x < len(counts):
@@ -111,9 +119,9 @@ class RecursionEvaluator:
     """Stateful evaluator producing one representation-count series.
 
     The constructor seeds the base count by a direct membership test
-    (targets 2, 0 and 1 admit at most one decomposition); ``run_to``
-    advances the argument by 2 a step.  ``tail_sum`` always equals the sum
-    of the values computed so far.
+    (targets 2, 0 and 1 admit at most one decomposition) and builds the
+    tables its step formula reads; ``run_to`` advances the argument by 2
+    a step.  ``tail_sum`` always equals the sum of the values so far.
     """
 
     def __init__(
@@ -153,16 +161,21 @@ class RecursionEvaluator:
         self.formula = formula
         self.seq_a = seq_a
         self.seq_b = seq_b
+        # (terms, prefix table) per role; equal sequences share one table.
+        self._a = (seq_a.terms, _prefix_table(seq_a))
+        same = seq_b is seq_a or formula is Formula.EQUAL
+        self._b = self._a if same else (seq_b.terms, _prefix_table(seq_b))
         if kind is EvaluatorKind.EVEN_ODD:
-            self.seq_w = None
+            self.seq_w = self._w = None
             self._functional = self._step_even_odd
         elif formula is Formula.GENERAL:
-            self.seq_w = intersect(seq_a, seq_b)
+            self.seq_w = seq_a if same else intersect(seq_a, seq_b)  # paired with itself: all shared
+            self._w = self._a if same else (self.seq_w.terms, _prefix_table(self.seq_w))
             self._functional = self._step_general
         else:
             # With seq_a contained in (or equal to) seq_b the shared part
             # is seq_a itself.
-            self.seq_w = seq_a
+            self.seq_w, self._w = seq_a, self._a
             self._functional = self._step_subset if formula is Formula.SUBSET else self._step_equal
 
         first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1
@@ -216,34 +229,32 @@ class RecursionEvaluator:
     # subtracts the running tail to get the count itself.
 
     def _step_general(self, x: int) -> int:
-        a, b, w = self.seq_a, self.seq_b, self.seq_w
+        (a, ca), (b, cb), (w, cw) = self._a, self._b, self._w
         half = x // 2
-        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
-        s_over_a = _capped_sum(b.count_table, a.terms, half, x)
-        s_over_w = _capped_sum(w.count_table, w.terms, half, x)
-        cross = int(a.count_table[half]) * int(b.count_table[half])
-        n_w = int(w.count_table[half])
+        s_over_b = _capped_sum(ca, b, half, x)
+        s_over_a = _capped_sum(cb, a, half, x)
+        s_over_w = _capped_sum(cw, w, half, x)
+        cross = int(ca[half]) * int(cb[half])
+        n_w = int(cw[half])
         return s_over_b + s_over_a - s_over_w - cross + n_w * (n_w + 1) // 2
 
     def _step_subset(self, x: int) -> int:
-        a, b = self.seq_a, self.seq_b
+        (a, ca), (b, cb) = self._a, self._b
         half = x // 2
-        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
-        s_diff = _capped_sum(b.count_table, a.terms, half, x) - _capped_sum(
-            a.count_table, a.terms, half, x
-        )
-        n_a = int(a.count_table[half])
-        return s_over_b + s_diff - n_a * int(b.count_table[half]) + n_a * (n_a + 1) // 2
+        s_over_b = _capped_sum(ca, b, half, x)
+        s_diff = _capped_sum(cb, a, half, x) - _capped_sum(ca, a, half, x)
+        n_a = int(ca[half])
+        return s_over_b + s_diff - n_a * int(cb[half]) + n_a * (n_a + 1) // 2
 
     def _step_equal(self, x: int) -> int:
-        a = self.seq_a
+        a, ca = self._a
         half = x // 2
-        n_a = int(a.count_table[half])
-        return _capped_sum(a.count_table, a.terms, half, x) - n_a * (n_a - 1) // 2
+        n_a = int(ca[half])
+        return _capped_sum(ca, a, half, x) - n_a * (n_a - 1) // 2
 
     def _step_even_odd(self, x: int) -> int:
-        a, b = self.seq_a, self.seq_b
+        (a, ca), (b, cb) = self._a, self._b
         half = (x + 1) // 2
-        s_over_b = _capped_sum(a.count_table, b.terms, half, x)
-        s_over_a = _capped_sum(b.count_table, a.terms, half, x)
-        return s_over_b + s_over_a - int(a.count_table[half]) * int(b.count_table[half])
+        s_over_b = _capped_sum(ca, b, half, x)
+        s_over_a = _capped_sum(cb, a, half, x)
+        return s_over_b + s_over_a - int(ca[half]) * int(cb[half])

@@ -1,21 +1,22 @@
 """Increasing integer sequences with exact counting functions.
 
 A ParitySequence materializes every term of a sequence up to a stated
-limit and answers counting queries S(x) = #{terms <= x} in O(1) through a
-prefix table.  Its ``terms`` are stored once, as one read-only int64
-array, validated with numpy when the sequence is built; the prefix table
-is built on first use.  The built-in kinds cover everything the bundled
-counting problems need (odd primes, primes together with odd semiprimes,
-all primes, doubled primes, odd and even squares, pronic numbers, the
-full parity classes); arbitrary sequences can be passed as explicit term
-lists or arrays, or loaded from a small text format.
+limit and answers counting queries S(x) = #{terms <= x} by binary search
+over its terms.  The ``terms`` are its only data: one read-only int64
+array, validated with numpy when the sequence is built.  The built-in
+kinds cover everything the bundled counting problems need (odd primes,
+primes together with odd semiprimes, all primes, doubled primes, odd and
+even squares, pronic numbers, the full parity classes); arbitrary
+sequences can be passed as explicit term lists or arrays, or loaded from
+a small text format.
 
-SieveTables bundles prime flags with a prefix table for the prime
-counting function pi(x); semiprime counting helpers sit on top of it.
+SieveTables holds the sorted primes up to its limit and answers the
+prime counting function pi(x) by binary search; semiprime counting
+helpers sit on top of it.  Dense prefix tables of S(x) are built only by
+the recursion, the one reader that needs them (``recursion.py``).
 
 All objects here are immutable after construction and safe to share
-between threads.  Two threads may race to build a sequence's prefix
-table; both build the same table, so the race is harmless.
+between threads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
 # Tables larger than this raise ResourceBudgetError instead of thrashing memory.
 DEFAULT_TABLE_CAP = 50_000_000
 
-# Prefix tables hold int32 counts, so no table may reach 2**31 entries.
+# The recursion's tables hold int32 counts over 0..limit, so limits stay below 2**31.
 COUNT_TABLE_LIMIT = 2**31
 
 # pi_hardy_wright evaluates (j-2)! exactly; the cap keeps that affordable.
@@ -78,9 +79,10 @@ class ParitySequence:
 
     ``terms`` is the only store of the terms: one read-only int64 array.
     An int64 array passed in is kept as a read-only view, not copied.
+    Counting and membership are binary searches over it.
     """
 
-    __slots__ = ("terms", "parity", "limit", "_count_table")
+    __slots__ = ("terms", "parity", "limit")
 
     def __init__(self, terms, parity: Parity, limit: int):
         _check_table_limit(limit)
@@ -90,17 +92,6 @@ class ParitySequence:
         self.terms.flags.writeable = False
         self.parity = parity
         self.limit = limit
-        self._count_table = None
-
-    @property
-    def count_table(self) -> np.ndarray:
-        """S(x) for x = 0..limit as int32, built the first time it is used."""
-        if self._count_table is None:
-            # An int32 indicator: cumsum of a bool one would cast it to a copy.
-            indicator = np.zeros(self.limit + 1, dtype=np.int32)
-            indicator[self.terms] = 1
-            self._count_table = np.cumsum(indicator, out=indicator)
-        return self._count_table
 
     def counting(self, x: int) -> int:
         """Number of terms <= x.  Defined for x <= limit; negative x count 0."""
@@ -108,15 +99,15 @@ class ParitySequence:
             return 0
         if x > self.limit:
             raise LimitExceededError(f"counting({x}) beyond limit {self.limit}")
-        return int(self.count_table[x])
+        return int(self.terms.searchsorted(x, side="right"))
 
     def contains(self, x: int) -> bool:
         if x < 0:
             return False
         if x > self.limit:
             raise LimitExceededError(f"membership of {x} unknown beyond {self.limit}")
-        before = int(self.count_table[x - 1]) if x > 0 else 0
-        return int(self.count_table[x]) > before
+        i = int(self.terms.searchsorted(x))
+        return i < len(self.terms) and int(self.terms[i]) == x
 
     __contains__ = contains
 
@@ -192,14 +183,12 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
 
 
 class SieveTables:
-    """Prime flags, prefix counts for pi(x), and the materialized primes."""
+    """The primes up to ``limit``, one sorted read-only int64 array; no table."""
 
-    __slots__ = ("limit", "prime_flags", "pi_prefix", "primes")
+    __slots__ = ("limit", "primes")
 
-    def __init__(self, limit, prime_flags, pi_prefix, primes):
+    def __init__(self, limit, primes):
         self.limit = limit
-        self.prime_flags = prime_flags
-        self.pi_prefix = pi_prefix
         self.primes = primes
 
     def pi(self, x: int) -> int:
@@ -208,7 +197,7 @@ class SieveTables:
             return 0
         if x > self.limit:
             raise LimitExceededError(f"pi({x}) beyond sieve limit {self.limit}")
-        return int(self.pi_prefix[x])
+        return int(self.primes.searchsorted(x, side="right"))
 
     def pi_odd(self, x: int) -> int:
         """Number of odd primes <= x."""
@@ -216,7 +205,7 @@ class SieveTables:
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
-    """Sieve of Eratosthenes plus prefix counts, exact up to ``limit``."""
+    """Sieve of Eratosthenes: the primes up to ``limit``."""
     if limit > cap:
         raise ResourceBudgetError(f"sieve limit {limit} exceeds the cap {cap}")
     _check_table_limit(limit)
@@ -225,11 +214,10 @@ def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    pi_prefix = np.cumsum(flags, dtype=np.int32)
-    primes = np.flatnonzero(flags).astype(np.int64)
-    for table in (flags, pi_prefix, primes):
-        table.flags.writeable = False  # prime sequences keep views of primes
-    return SieveTables(limit, flags, pi_prefix, primes)
+    # flatnonzero already gives int64 on 64-bit hosts: no second copy.
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes.flags.writeable = False  # prime sequences keep views of primes
+    return SieveTables(limit, primes)
 
 
 def pi_hardy_wright(n: int) -> int:
@@ -260,17 +248,16 @@ def odd_semiprime_count(x: int, tables: SieveTables) -> int:
 
 def _semiprime_count(x: int, tables: SieveTables, smallest: int) -> int:
     # Each prime p <= sqrt(x) contributes the primes q with p <= q <= x/p,
-    # which is pi(x // p) - pi(p) + 1; the tie p*p = x is included.
+    # which is pi(x // p) - pi(p) + 1; the tie p*p = x is included.  With
+    # p = primes[i], pi(p) = i + 1, so that is pi(x // p) - i.
     if x < 0:
         return 0
     if x > tables.limit:
         raise LimitExceededError(f"semiprime count at {x} beyond {tables.limit}")
-    lo = int(np.searchsorted(tables.primes, smallest, side="left"))
-    hi = int(np.searchsorted(tables.primes, math.isqrt(x), side="right"))
-    ps = tables.primes[lo:hi]
-    if ps.size == 0:
-        return 0
-    counts = tables.pi_prefix[x // ps] - tables.pi_prefix[ps] + 1
+    primes = tables.primes
+    lo = int(primes.searchsorted(smallest))
+    hi = int(primes.searchsorted(math.isqrt(x), side="right"))
+    counts = primes.searchsorted(x // primes[lo:hi], side="right") - np.arange(lo, hi)
     return int(counts.sum(dtype=np.int64))
 
 

@@ -65,3 +65,18 @@ def test_cli_runs_routes_only_through_problem_specs():
         if module.removeprefix("addrep.") in ("oracle", "recursion")
     }
     assert route_imports <= {("recursion", "EvaluatorKind")}
+
+
+def test_prefix_tables_are_built_only_by_the_recursion():
+    # Dense S(x) tables (cumulative sums of an indicator) belong to the
+    # recursion, their one reader; every other module searches sorted terms.
+    callers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "cumsum":
+                    callers.append(path.name)
+    assert set(callers) <= {"recursion.py"}
+    assert callers  # the check still sees the recursion's own table

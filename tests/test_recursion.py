@@ -281,6 +281,26 @@ def test_equal_pair_subset_form_matches_equal_form():
     assert equal.run_to(200).values == want
 
 
+def test_one_prefix_table_per_distinct_sequence():
+    seq = make_sequence(SequenceKind.ODD_PRIMES, 200)
+    copy = ParitySequence(seq.terms.copy(), Parity.ODD, 200)
+    chen = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, 200)
+    evaluators = {
+        "self": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, seq),
+        "copy": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy),
+        "equal": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy, Formula.EQUAL),
+        "subset": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen, Formula.SUBSET),
+    }
+    tables = {
+        name: len({id(ev._a[1]), id(ev._b[1]), id(ev._w[1])})
+        for name, ev in evaluators.items()
+    }
+    assert tables == {"self": 1, "copy": 3, "equal": 1, "subset": 2}
+    want = evaluators["copy"].run_to(200).values
+    assert evaluators["self"].run_to(200).values == want
+    assert evaluators["equal"].run_to(200).values == want
+
+
 def test_corollary_consistency_random():
     rng = random.Random(99)
     for kind in (EvaluatorKind.ODD_ODD, EvaluatorKind.EVEN_EVEN):

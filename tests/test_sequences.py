@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from addrep.sequences import (
     Parity,
     ParitySequence,
     SequenceKind,
+    SieveTables,
     build_sieve,
     even_square_count,
     intersect,
@@ -41,10 +43,37 @@ def test_sieve_small_values():
     assert build_sieve(0).pi(0) == 0
 
 
-def test_sieve_matches_trial_division():
-    tables = build_sieve(500)
-    for x in range(501):
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 500])
+def test_sieve_matches_trial_division(limit):
+    # Limits 0..4 leave no prime, one prime or two: binary searches over
+    # such arrays are where an off-by-one would show.
+    tables = build_sieve(limit)
+    semis = [n for n in range(limit + 1) if factor_count(n) == 2]
+    for x in range(limit + 1):
         assert tables.pi(x) == trial_division_pi(x)
+        assert tables.pi_odd(x) == trial_division_pi(x) - (x >= 2)
+        assert semiprime_count(x, tables) == sum(1 for s in semis if s <= x)
+        assert odd_semiprime_count(x, tables) == sum(1 for s in semis if s <= x and s % 2)
+    for count in (tables.pi, tables.pi_odd):
+        with pytest.raises(LimitExceededError):
+            count(limit + 1)
+    for count in (semiprime_count, odd_semiprime_count):
+        with pytest.raises(LimitExceededError):
+            count(limit + 1, tables)
+
+
+def test_sieve_keeps_only_its_primes():
+    tracemalloc.start()
+    try:
+        tables = build_sieve(10**6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 78,498 int64 primes take 0.6 MB; flags or a pi table to 10^6 would
+    # add 1 MB or 4 MB more.
+    assert held < 2**20
+    assert SieveTables.__slots__ == ("limit", "primes")
+    assert len(tables.primes) == tables.pi(10**6) == 78_498
 
 
 def test_pi_odd():
@@ -181,7 +210,7 @@ def test_term_inputs_give_equal_sequences(terms):
 def test_terms_are_one_read_only_array():
     source = np.array([0, 4, 8])
     seq = ParitySequence(source, Parity.EVEN, 8)
-    assert ParitySequence.__slots__ == ("terms", "parity", "limit", "_count_table")
+    assert ParitySequence.__slots__ == ("terms", "parity", "limit")
     with pytest.raises(ValueError):
         seq.terms[0] = 2
     source[0] = 2  # the caller's array stays writable
@@ -249,6 +278,18 @@ def test_prefix_table_is_built_on_first_use():
     assert peak < 2**20  # a table to 10^7 would take 40 MB
     assert seq.counting(10**7) == 2
     assert seq.contains(3)
+
+
+def test_queries_build_no_table():
+    tracemalloc.start()
+    try:
+        seq = ParitySequence([1, 3], Parity.ODD, 10**7)
+        answers = (seq.counting(10**7), seq.contains(3), seq.contains(5), seq.counting(-1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == (2, True, False, 0)
+    assert peak < 2**20  # a table to 10^7 would take 40 MB
 
 
 def test_custom_sequence_via_make_sequence():
