@@ -130,6 +130,8 @@ class RecursionEvaluator:
         seq_a: ParitySequence,
         seq_b: ParitySequence,
         formula: Formula = Formula.GENERAL,
+        *,
+        _tables=None,
     ):
         want_a, want_b = _PARITIES[kind]
         if seq_a.parity is not want_a or seq_b.parity is not want_b:
@@ -161,10 +163,12 @@ class RecursionEvaluator:
         self.formula = formula
         self.seq_a = seq_a
         self.seq_b = seq_b
-        # (terms, prefix table) per role; equal sequences share one table.
-        self._a = (seq_a.terms, _prefix_table(seq_a))
+        # (terms, prefix table) per role; equal sequences share one table,
+        # and a specialization reuses the (a, b) pairs of its original.
+        a, b = _tables or (None, None)
+        self._a = a or (seq_a.terms, _prefix_table(seq_a))
         same = seq_b is seq_a or formula is Formula.EQUAL
-        self._b = self._a if same else (seq_b.terms, _prefix_table(seq_b))
+        self._b = self._a if same else b or (seq_b.terms, _prefix_table(seq_b))
         if kind is EvaluatorKind.EVEN_ODD:
             self.seq_w = self._w = None
             self._functional = self._step_even_odd
@@ -219,11 +223,15 @@ class RecursionEvaluator:
 
     def specialized_subset(self) -> "RecursionEvaluator":
         """Fresh evaluator using the contained-sequence shortcut formula."""
-        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.SUBSET)
+        return RecursionEvaluator(
+            self.kind, self.seq_a, self.seq_b, Formula.SUBSET, _tables=(self._a, self._b)
+        )
 
     def specialized_equal(self) -> "RecursionEvaluator":
         """Fresh evaluator using the equal-sequences shortcut formula."""
-        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.EQUAL)
+        return RecursionEvaluator(
+            self.kind, self.seq_a, self.seq_b, Formula.EQUAL, _tables=(self._a, self._b)
+        )
 
     # Each step formula returns the one-shot count functional at x; run_to
     # subtracts the running tail to get the count itself.

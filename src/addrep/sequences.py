@@ -3,17 +3,19 @@
 A ParitySequence materializes every term of a sequence up to a stated
 limit and answers counting queries S(x) = #{terms <= x} by binary search
 over its terms.  The ``terms`` are its only data: one read-only int64
-array, validated with numpy when the sequence is built.  The built-in
-kinds cover everything the bundled counting problems need (odd primes,
-primes together with odd semiprimes, all primes, doubled primes, odd and
-even squares, pronic numbers, the full parity classes); arbitrary
-sequences can be passed as explicit term lists or arrays, or loaded from
-a small text format.
+array, validated with numpy a block at a time when the sequence is
+built.  The built-in kinds cover everything the bundled counting problems
+need (odd primes, primes together with odd semiprimes, all primes,
+doubled primes, odd and even squares, pronic numbers, the full parity
+classes); arbitrary sequences can be passed as explicit term lists or
+arrays, or loaded from a small text format.
 
 SieveTables holds the sorted primes up to its limit and answers the
 prime counting function pi(x) by binary search; semiprime counting
-helpers sit on top of it.  Dense prefix tables of S(x) are built only by
-the recursion, the one reader that needs them (``recursion.py``).
+helpers sit on top of it.  build_sieve finds the primes with one byte of
+scratch flags per odd number up to the limit, which it drops once the
+primes are listed.  Dense prefix tables of S(x) are built only by the
+recursion, the one reader that needs them (``recursion.py``).
 
 All objects here are immutable after construction and safe to share
 between threads.
@@ -41,6 +43,9 @@ DEFAULT_TABLE_CAP = 50_000_000
 
 # The recursion's tables hold int32 counts over 0..limit, so limits stay below 2**31.
 COUNT_TABLE_LIMIT = 2**31
+
+# Terms are validated this many at a time (see _check_terms).
+_CHECK_BLOCK = 1 << 16
 
 # pi_hardy_wright evaluates (j-2)! exactly; the cap keeps that affordable.
 HARDY_WRIGHT_CAP = 40
@@ -161,14 +166,25 @@ def _term_array(terms) -> np.ndarray:
 
 
 def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
-    """Raise for the first term that breaks the ParitySequence contract."""
-    bad = (terms < 0) | (terms > limit)
-    bad[1:] |= terms[1:] <= terms[:-1]
-    if parity is not Parity.MIXED:
-        bad |= terms % 2 != (1 if parity is Parity.ODD else 0)
-    if not bad.any():
+    """Raise for the first term that breaks the ParitySequence contract.
+
+    The terms are checked a block at a time, so the temporaries stay a
+    few hundred kB at any length; each block starts one term early, so
+    the increasing test sees every adjacent pair.
+    """
+    want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
+    for start in range(0, len(terms), _CHECK_BLOCK):
+        lo = max(start - 1, 0)
+        block = terms[lo : start + _CHECK_BLOCK]
+        bad = (block < 0) | (block > limit)
+        bad[1:] |= block[1:] <= block[:-1]
+        if want is not None:
+            bad |= (block & 1) != want
+        if bad.any():
+            i = lo + int(bad.argmax())
+            break
+    else:
         return
-    i = int(bad.argmax())
     t = int(terms[i])
     if t < 0:
         raise SequenceFormatError(f"negative term {t}")
@@ -205,17 +221,26 @@ class SieveTables:
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
-    """Sieve of Eratosthenes: the primes up to ``limit``."""
+    """Sieve of Eratosthenes over the odd numbers: the primes up to ``limit``.
+
+    The scratch flags hold one byte per odd number, (limit + 1) // 2 in
+    all: flags[i] stands for 2i + 1, and each odd prime p clears its odd
+    multiples from p*p on, a stride of p in the flags.  The flag of 1,
+    which is no prime, stands in for 2.
+    """
     if limit > cap:
         raise ResourceBudgetError(f"sieve limit {limit} exceeds the cap {cap}")
     _check_table_limit(limit)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    # flatnonzero already gives int64 on 64-bit hosts: no second copy.
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    flags[:1] = limit >= 2
+    # flatnonzero gives a fresh array, int64 on 64-bit hosts: map it in place.
     primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[:1] = 2
     primes.flags.writeable = False  # prime sequences keep views of primes
     return SieveTables(limit, primes)
 
@@ -404,7 +429,8 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     Format: a header line ``parity: odd`` or ``parity: even``, then one
     integer per line in strictly increasing order.  Blank lines and text
     after ``#`` are ignored.  When ``limit`` is given, terms beyond it are
-    dropped; otherwise the limit is the last term.
+    dropped; otherwise the limit is the largest term (0 when no term is
+    positive).
     """
     path = Path(path)
     with path.open() as fh:
@@ -422,17 +448,19 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
         value = value.strip().lower()
         if value not in ("odd", "even"):
             raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no terms
-            try:
-                rows = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
-            except ValueError:
-                rows = None
+    # Given the path rather than the open handle, numpy parses the file in C;
+    # it skips the same text-mode lines the header scan read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no terms
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, skiprows=lineno)
+        except ValueError:
+            rows = None
     if rows is None or rows.shape[1] != 1:
         raise _bad_term_line(path, lineno)
     terms = rows.ravel()
     if limit is None:
-        limit = int(terms[-1]) if terms.size else 0
+        limit = max(int(terms.max()), 0) if terms.size else 0
     else:
         terms = terms[terms <= limit]
     return ParitySequence(terms, Parity(value), limit)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from addrep import recursion
 from addrep.convolution import count_series
 from addrep.errors import (
     ContainmentError,
@@ -299,6 +300,25 @@ def test_one_prefix_table_per_distinct_sequence():
     want = evaluators["copy"].run_to(200).values
     assert evaluators["self"].run_to(200).values == want
     assert evaluators["equal"].run_to(200).values == want
+
+
+def test_specializations_reuse_the_held_tables(monkeypatch):
+    seq = make_sequence(SequenceKind.ODD_PRIMES, 200)
+    chen = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, 200)
+    contained = RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen)
+    same = RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, seq)
+    built = []
+    build = recursion._prefix_table
+    monkeypatch.setattr(recursion, "_prefix_table", lambda s: built.append(s) or build(s))
+    subset = contained.specialized_subset()
+    equal = same.specialized_equal()
+    equal_subset = equal.specialized_subset()
+    assert built == []
+    assert subset._a is contained._a and subset._b is contained._b
+    assert equal._a is equal._b is same._a
+    assert subset.run_to(200).values == contained.run_to(200).values
+    want = same.run_to(200).values
+    assert equal.run_to(200).values == equal_subset.run_to(200).values == want
 
 
 def test_corollary_consistency_random():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrep import sequences
 from addrep.errors import (
     LimitExceededError,
     LimitMismatchError,
@@ -43,10 +44,14 @@ def test_sieve_small_values():
     assert build_sieve(0).pi(0) == 0
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 500])
+@pytest.mark.parametrize(
+    "limit", [0, 1, 2, 3, 4, 9, 10, 24, 25, 26, 48, 49, 120, 121, 168, 169, 500]
+)
 def test_sieve_matches_trial_division(limit):
     # Limits 0..4 leave no prime, one prime or two: binary searches over
-    # such arrays are where an off-by-one would show.
+    # such arrays are where an off-by-one would show.  The others sit at
+    # and next to the odd prime squares 9 ... 169, where a prime's first
+    # cleared multiple p*p falls on, or just past, the last flag.
     tables = build_sieve(limit)
     semis = [n for n in range(limit + 1) if factor_count(n) == 2]
     for x in range(limit + 1):
@@ -60,6 +65,24 @@ def test_sieve_matches_trial_division(limit):
     for count in (semiprime_count, odd_semiprime_count):
         with pytest.raises(LimitExceededError):
             count(limit + 1, tables)
+
+
+def _plain_sieve(limit):
+    """The primes up to limit from flags over every integer 0..limit."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def test_sieve_matches_a_plain_sieve():
+    for limit in [*range(200), 10**6]:
+        primes = build_sieve(limit).primes
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert np.array_equal(primes, _plain_sieve(limit)), limit
+    assert len(primes) == 78_498
 
 
 def test_sieve_keeps_only_its_primes():
@@ -247,6 +270,43 @@ def test_validation_names_the_first_bad_term(terms, parity, limit, error, messag
         ParitySequence(terms, parity, limit)
 
 
+@pytest.mark.parametrize(
+    "terms, parity, error, message",
+    [
+        ([1, 3, 7, 5, 9, 11, 13], Parity.ODD, SequenceFormatError, "got 5 after 7"),
+        ([1, 3, 5, 7, 9, 11, 13, 14], Parity.ODD, ParityMismatchError, "even term 14"),
+        ([0, 2, 4, 6, 8, 10, 13], Parity.EVEN, ParityMismatchError, "odd term 13"),
+        ([2, 4, 6], Parity.ODD, ParityMismatchError, "even term 2"),
+        ([-1, 3, 5, 7], Parity.ODD, SequenceFormatError, "negative term -1"),
+        ([1, 3, 5, 7, 9, 11, 21], Parity.ODD, LimitExceededError, "term 21 lies beyond"),
+        ([2, 3, 5, 7, 11, 13, 17, 17], Parity.MIXED, SequenceFormatError, "got 17 after 17"),
+    ],
+    ids=["straddling-pair", "odd-last-block", "even-last-block", "index-0-parity",
+         "index-0-negative", "beyond-limit", "mixed-duplicate"],
+)
+def test_validation_in_blocks_names_the_first_bad_term(
+    monkeypatch, terms, parity, error, message
+):
+    # With blocks of 3, blocks start at indices 0, 3 and 6: the first case's
+    # decreasing pair sits at indices 2 and 3, across a block boundary.
+    for block in (sequences._CHECK_BLOCK, 3):
+        monkeypatch.setattr(sequences, "_CHECK_BLOCK", block)
+        with pytest.raises(error, match=message):
+            ParitySequence(np.array(terms), parity, 20)
+
+
+def test_validation_allocates_no_full_size_temporaries():
+    terms = np.arange(1, 10**7 + 1, 2)
+    tracemalloc.start()
+    try:
+        seq = ParitySequence(terms, Parity.ODD, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one int64 or bool temporary over all terms is 40 or 5 MB
+    assert len(seq) == 5 * 10**6
+
+
 def test_empty_sequences_are_valid():
     for parity in Parity:
         seq = ParitySequence([], parity, 6)
@@ -264,20 +324,6 @@ def test_tables_beyond_int32_are_refused_before_allocating():
         build_sieve(2**31, cap=2**40)
     with pytest.raises(ResourceBudgetError, match="cap"):
         build_sieve(2**31)
-
-
-def test_prefix_table_is_built_on_first_use():
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        seq = ParitySequence([1, 3], Parity.ODD, 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # a table to 10^7 would take 40 MB
-    assert seq.counting(10**7) == 2
-    assert seq.contains(3)
 
 
 def test_queries_build_no_table():
@@ -456,6 +502,33 @@ def test_load_sequence_names_the_bad_line(tmp_path, line):
     path = tmp_path / "f.txt"
     path.write_text(f"# comment\nparity: odd\n1\n\n{line}\n9\n")
     message = r"f\.txt: expected one int64" if line.startswith("9") else r"f\.txt:5: "
+    with pytest.raises(SequenceFormatError, match=message):
+        load_sequence(path)
+
+
+def test_load_sequence_comments_blanks_and_crlf(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(
+        b"\r\n# made by hand\r\n   \r\n#\r\nparity: even\r\n"
+        b"0 # zero\r\n\r\n4#four\r\n# between\r\n  10  \r\n"
+    )
+    seq = load_sequence(path)
+    assert seq.terms.tolist() == [0, 4, 10]
+    assert seq.parity is Parity.EVEN and seq.limit == 10
+    path.write_bytes(b"# x\r\n\r\nparity: odd\r\n1\r\n\r\nfive # 5\r\n")
+    with pytest.raises(SequenceFormatError, match=r"f\.txt:6: not an integer: 'five'"):
+        load_sequence(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("3\n1\n", "strictly increasing, got 1 after 3"), ("-1\n", "negative term -1")],
+)
+def test_load_sequence_without_limit_names_the_fault(tmp_path, body, message):
+    # The default limit is the largest term, so a fault is never reported
+    # as a term beyond it.
+    path = tmp_path / "f.txt"
+    path.write_text("parity: odd\n" + body)
     with pytest.raises(SequenceFormatError, match=message):
         load_sequence(path)
 
