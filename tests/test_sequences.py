@@ -326,6 +326,18 @@ def test_tables_beyond_int32_are_refused_before_allocating():
         build_sieve(2**31)
 
 
+def test_prefix_table_is_built_on_first_use():
+    tracemalloc.start()
+    try:
+        seq = ParitySequence([1, 3], Parity.ODD, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table to 10^7 would take 40 MB
+    assert seq.counting(10**7) == 2
+    assert seq.contains(3)
+
+
 def test_queries_build_no_table():
     tracemalloc.start()
     try:
