@@ -2,7 +2,7 @@
 
 Each problem in PROBLEMS lists its ``parts``: an evaluator kind and the
 builders of its two sequences.  A problem's count is the sum of its
-parts' counts, and ``problem_series`` derives all three routes from
+parts' counts, and ``problem_counts`` derives all three routes from
 ``parts``: the engine (one exact FFT convolution per part, behind
 ``compute`` and the functions below), the paper's recursion
 (``evaluator_series``) and brute-force enumeration (``oracle_series``).
@@ -124,12 +124,12 @@ _PRONIC = _built_in(SequenceKind.PRONIC)
 class ProblemSpec:
     """A named problem: its argument convention, its parts and its routes.
 
-    ``compute`` defaults to the engine route and ``evaluator_series`` and
-    ``oracle_series`` to the recursion and oracle routes, all run over
-    ``parts`` by ``problem_series``.  ``compute`` and ``oracle_series``
-    also take sieve tables covering ``x_of_n(n_max)``, which a ``sieved``
-    problem builds for itself when given None; ``sieve`` builds them
-    under a caller's table cap.
+    ``compute`` (and ``run``) runs ``route``, the engine unless given,
+    and ``evaluator_series`` and ``oracle_series`` the recursion and oracle
+    routes, all over ``parts`` by ``problem_counts``.  ``compute`` and
+    ``oracle_series`` also take sieve tables covering ``x_of_n(n_max)``,
+    which a ``sieved`` problem builds for itself when given None; ``sieve``
+    builds them under a caller's table cap.
     """
 
     name: str
@@ -140,21 +140,22 @@ class ProblemSpec:
     argument_desc: str
     parts: tuple[Part, ...]
     sieved: bool = False
+    route: str = "engine"
     compute: Callable[..., CountSeries] | None = None
     evaluator_series: Callable[[int], list[int]] | None = None
     oracle_series: Callable[..., list[int]] | None = None
 
     def __post_init__(self):
         if self.compute is None:
-            object.__setattr__(self, "compute", self._engine)
+            object.__setattr__(self, "compute", self._compute)
         for field, route in (("evaluator_series", "recursion"),
                              ("oracle_series", "oracle")):
             if getattr(self, field) is None:
                 route_series = partial(problem_series, self, route=route)
                 object.__setattr__(self, field, route_series)
 
-    def _engine(self, n_max: int, tables: SieveTables | None = None) -> CountSeries:
-        values = problem_series(self, n_max, "engine", tables)
+    def _compute(self, n_max: int, tables: SieveTables | None = None) -> CountSeries:
+        values = problem_series(self, n_max, self.route, tables)
         return CountSeries(self.x_of_n(self.n_start), values, self.x_step)
 
     def x_of_n(self, n: int) -> int:
@@ -164,15 +165,23 @@ class ProblemSpec:
         """The sieve a route to n_max reads, capped at ``cap`` entries, or None."""
         return build_sieve(self.x_of_n(n_max), cap) if self.sieved else None
 
-    def run(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> CountSeries:
-        """``compute(n_max)`` with any sieve it needs limited to ``cap`` entries."""
-        return self.compute(n_max, self.sieve(n_max, cap))
+    def run(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+        """a(n) by ``route`` as an int64 array, where ``compute`` gives a
+        list, with any sieve it needs limited to ``cap`` entries."""
+        return problem_counts(self, n_max, self.route, self.sieve(n_max, cap))
 
 
 def problem_series(
     spec: ProblemSpec, n_max: int, route: str, tables: SieveTables | None = None
 ) -> list[int]:
-    """a(n) for n = n_start..n_max by one route over the problem's parts.
+    """``problem_counts`` as a list of ints."""
+    return problem_counts(spec, n_max, route, tables).tolist()
+
+
+def problem_counts(
+    spec: ProblemSpec, n_max: int, route: str, tables: SieveTables | None = None
+) -> np.ndarray:
+    """int64 a(n) for n = n_start..n_max by one route over the problem's parts.
 
     ``route`` is "engine" (the FFT convolution), "recursion"
     (``RecursionEvaluator``) or "oracle" (``brute_count_series``, with a
@@ -213,7 +222,7 @@ def problem_series(
         stride, off_stride = divmod(spec.x_step, 2)
         assert offset >= 0 and not off_lattice and not off_stride
         totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
-    return totals.tolist()
+    return totals
 
 
 _KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
@@ -230,15 +239,12 @@ def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
         raise ParityMismatchError(
             f"no recursion for parities {seq_a.parity.value}/{seq_b.parity.value}"
         )
-    spec = ProblemSpec(
+    return ProblemSpec(
         name=f"custom {kind.value}", oeis=None, n_start=0, x_base=_BASES[kind], x_step=2,
         argument_desc="a(n) counts decompositions of x = base + 2*n, n >= 0",
         parts=((kind, lambda limit, tables: seq_a, lambda limit, tables: seq_b, None),),
-        compute=lambda n_max, tables=None: CountSeries(
-            spec.x_base, spec.evaluator_series(n_max)
-        ),
+        route="recursion",
     )
-    return spec
 
 
 PROBLEMS: dict[str, ProblemSpec] = {

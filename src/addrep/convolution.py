@@ -12,14 +12,31 @@ series costs one O(K log K) convolution for K targets.  The counts are:
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the recursion's bases.  Float results further than
 0.25 from an integer raise ResourceBudgetError rather than being rounded.
+
+When one side has only k terms, k shifted adds of the other side's
+indicator give ``N_AB`` exactly and the shared terms' own pairs give the
+correction, with no transform at all.  ``count_series`` takes that route
+when its estimated cost is the lower (``_SHIFT_CALL``, ``_TRANSFORM_CALL``).
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
 from .errors import ResourceBudgetError
 from .recursion import _BASES, EvaluatorKind
+
+
+# The two routes' costs in units of one entry of a shifted add.  Measured
+# on a 2-core x86_64 host with numpy 2.4: a shifted add costs 0.6-1.9 ns
+# per entry plus about 1.5 us per call, and a real transform of length L
+# costs 0.9-2.3 ns per L log2 L plus about 6 us per call.  So a pass over K
+# entries costs K + _SHIFT_CALL and a transform L log2 L + _TRANSFORM_CALL.
+_SHIFT_CALL = 1_000
+_TRANSFORM_CALL = 5_000
 
 
 def fast_length(n: int) -> int:
@@ -49,9 +66,8 @@ def exact_counts(values: np.ndarray) -> np.ndarray:
 
 
 def _indicator(terms: np.ndarray, size: int) -> np.ndarray:
-    index = terms // 2
     flags = np.zeros(size, dtype=bool)
-    flags[index[: np.searchsorted(index, size)]] = True
+    flags[terms // 2] = True
     return flags
 
 
@@ -68,7 +84,20 @@ def count_series(
     if x_max < base:
         raise ValueError(f"x_max {x_max} is below the base argument {base}")
     size = (x_max - base) // 2 + 1
+    # Views of the terms whose index t // 2 is below size.
+    a = a[: np.searchsorted(a, 2 * size)]
+    b = None if b is None else b[: np.searchsorted(b, 2 * size)]
     length = fast_length(2 * size - 1)
+    transforms = 2 if b is None else 3 if kind is EvaluatorKind.EVEN_ODD else 4
+    short = len(a) if b is None else min(len(a), len(b))
+    if short * (size + _SHIFT_CALL) <= transforms * (
+        length * math.log2(length) + _TRANSFORM_CALL
+    ):
+        return _by_shifts(kind, size, a, b)
+    return _by_fft(kind, size, length, a, b)
+
+
+def _by_fft(kind, size, length, a, b) -> np.ndarray:
     a_flags = _indicator(a, size)
     fa = np.fft.rfft(a_flags, length)
     if b is None:
@@ -85,3 +114,21 @@ def count_series(
     counts = exact_counts(np.fft.irfft(spectrum, length)[:size])
     counts[::2] += w_flags[: (size + 1) // 2]
     return counts // 2
+
+
+def _by_shifts(kind, size, a, b) -> np.ndarray:
+    short, other = sorted((a, a if b is None else b), key=len)
+    other_flags = _indicator(other, size)
+    short_index = short // 2
+    counts = np.zeros(size, dtype=np.int64)
+    for i in short_index.tolist():
+        counts[i:] += other_flags[: size - i]
+    if kind is EvaluatorKind.EVEN_ODD:
+        return counts
+    # N_AB counted each pair {u, w} of distinct shared terms twice; the
+    # correction (N_WW - delta) / 2 is one per such pair.
+    shared = short_index[other_flags[short_index]].tolist()
+    for u, w in itertools.combinations(shared, 2):
+        if u + w < size:
+            counts[u + w] -= 1
+    return counts

@@ -435,8 +435,8 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     path = Path(path)
     with path.open() as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if line:
                 break
         else:
             raise SequenceFormatError(f"{path}: missing 'parity:' header")

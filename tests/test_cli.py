@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addrep.cli import (
     EXIT_MISMATCH,
@@ -412,3 +415,176 @@ def test_custom_odd_odd_run_does_not_import_numpy_ma(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+# --- row writers and the process entry point ------------------------------------
+
+def _old_bfile(rows, header):
+    return "".join(line + "\n" for line in header) + "".join(f"{n} {v}\n" for n, v in rows)
+
+
+def _old_csv(rows, header):
+    body = "".join(f"{n},{v}\n" for n, v in rows)
+    return "".join(line + "\n" for line in header) + "n,count\n" + body
+
+
+def _old_json(rows, meta):
+    import io
+
+    buf = io.StringIO()
+    payload = dict(meta)
+    payload["rows"] = [[n, v] for n, v in rows]
+    json.dump(payload, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+INT64_MAX = 2**63 - 1
+_int64 = st.one_of(st.just(0), st.integers(0, 9), st.integers(10**12, INT64_MAX),
+                   st.integers(0, INT64_MAX))
+
+
+@st.composite
+def row_arrays(draw):
+    """(n, v) rows: a drawn length, block sizes and their neighbours among
+    them, filled at random below a drawn magnitude per column, the first
+    few rows drawn by hypothesis itself."""
+    from addrep.cli import BLOCK_ROWS
+
+    length = draw(st.one_of(
+        st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        st.integers(0, 50),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    highs = draw(st.tuples(*[st.sampled_from([1, 10, 10**6, 10**13, INT64_MAX])] * 2))
+    rows = np.column_stack([rng.integers(0, high, size=length, dtype=np.int64, endpoint=True)
+                            for high in highs])
+    drawn = draw(st.lists(st.tuples(_int64, _int64), max_size=min(length, 20)))
+    if drawn:
+        rows[: len(drawn)] = drawn
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_arrays())
+def test_writers_match_the_f_string_and_json_output(rows):
+    import io
+
+    import addrep.cli as cli
+
+    header = ["# a header line", "# cross-reference: OEIS A002375"]
+    meta = {"problem": "goldbach", "oeis": None}
+    pairs = rows.tolist()
+    for writer, context, want in (
+        (cli.write_bfile, header, _old_bfile(pairs, header)),
+        (cli.write_csv, header, _old_csv(pairs, header)),
+        (cli.write_json, meta, _old_json(pairs, meta)),
+    ):
+        buf = io.StringIO()
+        writer(buf, rows, context)
+        assert buf.getvalue() == want, writer.__name__
+
+
+def _run_python(*args):
+    """A child interpreter on this package, its stdout block-buffered."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def _run_module(*args):
+    return _run_python("-m", "addrep.cli", *args)
+
+
+def test_entry_point_flushes_and_skips_exit_hooks():
+    # A main() that leaves output in the buffers: console_main flushes it,
+    # exits with main's code and runs no atexit hook.
+    script = (
+        "import atexit, sys\n"
+        "import addrep.cli as cli\n"
+        "atexit.register(lambda: print('hook ran', file=sys.stderr))\n"
+        "def main():\n"
+        "    sys.stdout.write('rows')\n"
+        "    sys.stderr.write('message')\n"
+        "    return 3\n"
+        "cli.main = main\n"
+        "cli.console_main()\n"
+    )
+    done = _run_python("-c", script)
+    assert (done.returncode, done.stdout, done.stderr) == (3, b"rows", b"message")
+
+
+def test_module_entry_keeps_the_exit_codes(tmp_path):
+    out = tmp_path / "g.txt"
+    done = _run_module("compute", "--problem", "goldbach", "--n-max", "30", "--out", str(out))
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert out.read_text().splitlines()[-1] == "30 6"
+
+    done = _run_module("compute", "--problem", "goldbach", "--n-max", "0")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith(b"error: --n-max must be >= 1")
+
+    done = _run_module("compute", "--problem", "goldbach", "--n-max", "1000", "--limit", "100")
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stderr.startswith(b"error: run needs tables up to 2000")
+
+    done = _run_module("compute", "--problem", "nope")  # argparse exits by itself
+    assert done.returncode == EXIT_USAGE
+
+
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path):
+    # About 490 kB: far more than a pipe holds (64 kB), so the run is still
+    # writing when the reader starts, and all of it must be flushed.
+    out = tmp_path / "g.txt"
+    argv = ["compute", "--problem", "goldbach", "--n-max", "50000"]
+    to_file = _run_module(*argv, "--out", str(out))
+    to_stdout = _run_module(*argv, "--out", "-")
+    assert to_file.returncode == to_stdout.returncode == EXIT_OK
+    assert len(to_stdout.stdout) > 400_000
+    assert to_stdout.stdout == out.read_bytes()
+
+
+def test_verify_writes_its_lines_in_blocks(monkeypatch, capsys):
+    import sys
+
+    from addrep.cli import VERIFY_LINES
+
+    writes = []
+    write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or write(text))
+    assert main(["verify", "--problem", "goldbach", "--n-max", "5000"]) == EXIT_OK
+    assert len(writes) == -(-5001 // VERIFY_LINES)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5001
+    assert lines[4999] == "PASS goldbach n=5000 x=10000 count=127"
+
+
+def test_verify_mismatch_output_is_unchanged(monkeypatch, capsys):
+    import dataclasses
+
+    from addrep.applications import PROBLEMS
+
+    spec = PROBLEMS["two-triangular"]
+
+    def broken_oracle(n_max, tables=None):
+        values = spec.oracle_series(n_max, tables=tables)
+        values[3] += 1
+        return values
+
+    monkeypatch.setitem(PROBLEMS, "two-triangular",
+                        dataclasses.replace(spec, oracle_series=broken_oracle))
+    assert main(["verify", "--problem", "two-triangular", "--n-max", "10"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS two-triangular n=0 x=0 count=1\n"
+        "PASS two-triangular n=1 x=2 count=1\n"
+        "PASS two-triangular n=2 x=4 count=1\n"
+        "MISMATCH two-triangular n=3 x=6: engine=1 oracle=2\n"
+    )
+    assert captured.err == "verification failed at n=3 x=6 (engine 1 vs oracle 2)\n"

@@ -1,13 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrep import convolution
 from addrep.convolution import count_series, exact_counts, fast_length
 from addrep.errors import ResourceBudgetError
 from addrep.oracle import brute_count_series
 from addrep.recursion import _BASES, EvaluatorKind, Formula, RecursionEvaluator
-from addrep.sequences import Parity, ParitySequence
+from addrep.sequences import Parity, ParitySequence, build_sieve
 from conftest import KIND_PARITIES
 
 
@@ -20,13 +23,23 @@ def _sequence(parity: Parity, limit: int, slots) -> ParitySequence:
     return ParitySequence([start + 2 * i for i in sorted(slots)], parity, limit)
 
 
+def _forced_routes(kind, x_last, a_terms, b_terms):
+    """The engine's counts by its transform route and by its shifted adds."""
+    size = (x_last - _BASES[kind]) // 2 + 1
+    a_terms = a_terms[a_terms < 2 * size]  # the terms count_series keeps
+    b_terms = None if b_terms is None else b_terms[b_terms < 2 * size]
+    by_fft = convolution._by_fft(kind, size, fast_length(2 * size - 1), a_terms, b_terms)
+    return by_fft.tolist(), convolution._by_shifts(kind, size, a_terms, b_terms).tolist()
+
+
 def _check_three_routes(kind, a, b, relation):
-    """Engine == every applicable recursion formula == brute force."""
+    """Engine (by either of its routes) == every applicable recursion
+    formula == brute force."""
     base = _BASES[kind]
     x_last = base + 2 * ((a.limit - base) // 2)
-    engine = count_series(
-        kind, x_last, a.terms, None if relation == "equal" else b.terms
-    ).tolist()
+    b_terms = None if relation == "equal" else b.terms
+    engine = count_series(kind, x_last, a.terms, b_terms).tolist()
+    assert _forced_routes(kind, x_last, a.terms, b_terms) == (engine, engine)
     formulas = [Formula.GENERAL]
     if kind is not EvaluatorKind.EVEN_ODD and relation != "independent":
         formulas.append(Formula.SUBSET)
@@ -88,6 +101,50 @@ def test_engine_edge_cases(kind, limit_offset, shape):
     a = _sequence(pa, limit, chosen if pa is pb else {0})
     relation = "independent" if kind is EvaluatorKind.EVEN_ODD else "equal"
     _check_three_routes(kind, a, b, relation)
+
+
+@pytest.mark.parametrize("kind", list(EvaluatorKind))
+@pytest.mark.parametrize("short_terms", [0, 1, 2, 3])
+@pytest.mark.parametrize("short_side", ["a", "b"])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("limit", [40, 151])
+def test_short_side_against_a_long_one(kind, short_terms, short_side, shared, limit):
+    # Sides of 0-3 terms, the shape the shifted adds are for; their terms
+    # drawn from the long side (shared) or anywhere on the lattice.
+    rng = random.Random(f"{kind.value}{short_terms}{short_side}{shared}{limit}")
+    long_parity, short_parity = KIND_PARITIES[kind][::-1 if short_side == "a" else 1]
+    long_slots = {s for s in range((limit - _first_term(long_parity)) // 2 + 1)
+                  if rng.random() < 0.6}
+    pool = sorted(long_slots) if shared and long_parity is short_parity else range(
+        (limit - _first_term(short_parity)) // 2 + 1)
+    short_slots = rng.sample(pool, min(short_terms, len(pool)))
+    long_seq = _sequence(long_parity, limit, long_slots)
+    short_seq = _sequence(short_parity, limit, short_slots)
+    a, b = (short_seq, long_seq) if short_side == "a" else (long_seq, short_seq)
+    relation = "subset" if shared and kind is not EvaluatorKind.EVEN_ODD else "independent"
+    if relation == "subset" and short_side == "b":
+        relation = "independent"  # the subset formulas need the smaller side first
+    _check_three_routes(kind, a, b, relation)
+
+
+@pytest.mark.parametrize("kind", [EvaluatorKind.ODD_ODD, EvaluatorKind.EVEN_EVEN])
+@pytest.mark.parametrize("slots", [(), (0,), (0, 3), (1, 2, 7)])
+def test_short_equal_sequences(kind, slots):
+    seq = _sequence(KIND_PARITIES[kind][0], 30, slots)
+    _check_three_routes(kind, seq, seq, "equal")
+
+
+def test_a_one_term_side_runs_no_transform(monkeypatch):
+    # Chen-total's even-even part: {2} against {2} and the doubled primes.
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform on a one-term side")
+
+    x_max = 2 * 10**6
+    b = np.concatenate(([2], 2 * build_sieve(x_max // 2).primes))
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    counts = count_series(EvaluatorKind.EVEN_EVEN, x_max, np.array([2]), b)
+    assert counts[:6].tolist() == [0, 0, 1, 1, 1, 0]  # 4 = 2+2, 6 = 2+4, 8 = 2+6; not 10
+    assert counts.sum() == len(b)
 
 
 def test_terms_past_x_max_are_ignored():

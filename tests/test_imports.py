@@ -80,3 +80,65 @@ def test_prefix_tables_are_built_only_by_the_recursion():
                     callers.append(path.name)
     assert set(callers) <= {"recursion.py"}
     assert callers  # the check still sees the recursion's own table
+
+
+class _HardExitCallers(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every ``os._exit`` call."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "_exit"
+                and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            self.found.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def _hard_exit_callers(path: Path) -> list[tuple[str, str]]:
+    visitor = _HardExitCallers(path.stem)
+    visitor.visit(ast.parse(path.read_text(), str(path)))
+    return visitor.found
+
+
+def test_only_the_cli_entry_function_ends_the_process():
+    # main() returns its exit code to whoever calls it in process; only the
+    # process entry point may skip the interpreter's exit.
+    callers = [caller for path in MODULES for caller in _hard_exit_callers(path)]
+    assert callers == [("cli", "console_main")]
+
+
+def test_a_hard_exit_outside_the_entry_function_is_reported(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import os\n"
+        "def main():\n"
+        "    def inner():\n"
+        "        os._exit(1)\n"
+        "    os._exit(0)\n"
+        "os._exit(2)\n"
+    )
+    assert _hard_exit_callers(path) == [("mod", "inner"), ("mod", "main"), ("mod", "<module>")]
+
+
+def test_script_and_module_run_the_same_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"addrep": "addrep.cli:console_main"}
+    path = Path(addrep.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    main_guard = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert ast.unparse(main_guard.body[0]) == "console_main()"
+    assert len(main_guard.body) == 1

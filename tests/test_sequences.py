@@ -550,3 +550,18 @@ def test_load_sequence_without_terms(tmp_path):
     path.write_text("parity: even\n# nothing yet\n")
     seq = load_sequence(path)
     assert len(seq) == 0 and seq.limit == 0 and seq.parity is Parity.EVEN
+
+
+def test_load_sequence_header_comment_is_ignored(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("# made by hand\nparity: even # note\n0\n4\n")
+    seq = load_sequence(path)
+    assert seq.parity is Parity.EVEN and seq.terms.tolist() == [0, 4]
+
+
+def test_load_sequence_header_comment_right_after_the_colon(tmp_path):
+    # The comment is not the value: the header names no parity.
+    path = tmp_path / "f.txt"
+    path.write_text("parity:# even\n0\n4\n")
+    with pytest.raises(SequenceFormatError, match=r"f\.txt:1: bad parity ''"):
+        load_sequence(path)
