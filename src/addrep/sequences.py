@@ -3,19 +3,21 @@
 A ParitySequence materializes every term of a sequence up to a stated
 limit and answers counting queries S(x) = #{terms <= x} by binary search
 over its terms.  The ``terms`` are its only data: one read-only int64
-array, validated with numpy a block at a time when the sequence is
-built.  The built-in kinds cover everything the bundled counting problems
-need (odd primes, primes together with odd semiprimes, all primes,
-doubled primes, odd and even squares, pronic numbers, the full parity
-classes); arbitrary sequences can be passed as explicit term lists or
-arrays, or loaded from a small text format.
+array, validated when the sequence is built by one numpy pass over the
+gaps of each block of terms.  The built-in kinds cover everything the
+bundled counting problems need (odd primes, primes together with odd
+semiprimes, all primes, doubled primes, odd and even squares, pronic
+numbers, the full parity classes); arbitrary sequences can be passed as
+explicit term lists or arrays, or loaded from a small text format.
 
 SieveTables holds the sorted primes up to its limit and answers the
 prime counting function pi(x) by binary search; semiprime counting
 helpers sit on top of it.  build_sieve finds the primes with one byte of
-scratch flags per odd number up to the limit, which it drops once the
-primes are listed.  Dense prefix tables of S(x) are built only by the
-recursion, the one reader that needs them (``recursion.py``).
+scratch flags per odd number up to the limit, cleared one cache-sized
+block at a time, which it drops once the primes are listed; the primes
+together with the odd semiprimes are marked in flags of the same shape.
+Dense prefix tables of S(x) are built only by the recursion, the one
+reader that needs them (``recursion.py``).
 
 All objects here are immutable after construction and safe to share
 between threads.
@@ -46,6 +48,10 @@ COUNT_TABLE_LIMIT = 2**31
 
 # Terms are validated this many at a time (see _check_terms).
 _CHECK_BLOCK = 1 << 16
+
+# The sieve clears this many flags (512 kB) at a time, a block that stays in
+# a core's L2 cache (see _odd_prime_flags).
+_SIEVE_BLOCK = 1 << 19
 
 # pi_hardy_wright evaluates (j-2)! exactly; the cap keeps that affordable.
 HARDY_WRIGHT_CAP = 40
@@ -168,19 +174,36 @@ def _term_array(terms) -> np.ndarray:
 def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
     """Raise for the first term that breaks the ParitySequence contract.
 
-    The terms are checked a block at a time, so the temporaries stay a
-    few hundred kB at any length; each block starts one term early, so
-    the increasing test sees every adjacent pair.
+    The terms are checked a block of _CHECK_BLOCK at a time, each block
+    starting one term early so that its gaps include the pair across the
+    boundary.  One pass writes a block's gaps into a reused int64 buffer
+    (signed, so a decrease between unsigned terms reads negative); the
+    block is sound when the smallest gap is positive, the bitwise or of
+    the gaps is below 2**31 (so their running sums cannot wrap) and, for
+    an odd or even sequence, even, and when its first and last terms lie
+    in [0, limit] and the first has the right parity.  Only a block that
+    fails that test is scanned term by term, so the error names the first
+    bad term whatever the block size.  The temporaries stay a few hundred
+    kB at any length.
     """
     want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
+    buf = np.empty(min(len(terms), _CHECK_BLOCK), dtype=np.int64)
     for start in range(0, len(terms), _CHECK_BLOCK):
         lo = max(start - 1, 0)
         block = terms[lo : start + _CHECK_BLOCK]
+        gaps = np.subtract(block[1:], block[:-1], out=buf[: len(block) - 1], dtype=np.int64)
+        first = int(block[0])
+        if 0 <= first and int(block[-1]) <= limit and (not gaps.size or gaps.min() > 0):
+            spread = int(np.bitwise_or.reduce(gaps))
+            if spread < COUNT_TABLE_LIMIT and (
+                want is None or (first & 1 == want and not spread & 1)
+            ):
+                continue
         bad = (block < 0) | (block > limit)
         bad[1:] |= block[1:] <= block[:-1]
         if want is not None:
             bad |= (block & 1) != want
-        if bad.any():
+        if bad.any():  # gaps of 2**31 or more fail the fast test yet may be sound
             i = lo + int(bad.argmax())
             break
     else:
@@ -224,25 +247,50 @@ def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
     """Sieve of Eratosthenes over the odd numbers: the primes up to ``limit``.
 
     The scratch flags hold one byte per odd number, (limit + 1) // 2 in
-    all: flags[i] stands for 2i + 1, and each odd prime p clears its odd
-    multiples from p*p on, a stride of p in the flags.  The flag of 1,
-    which is no prime, stands in for 2.
+    all, and are dropped once the primes are listed (see _odd_prime_flags).
+    The flag of 1, which is no prime, stands in for 2.
     """
     if limit > cap:
         raise ResourceBudgetError(f"sieve limit {limit} exceeds the cap {cap}")
     _check_table_limit(limit)
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p // 2]:
-            flags[p * p // 2 :: p] = False
+    flags = _odd_prime_flags(limit)
     flags[:1] = limit >= 2
-    # flatnonzero gives a fresh array, int64 on 64-bit hosts: map it in place.
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
+    primes = _flagged_odd_numbers(flags)
     primes[:1] = 2
     primes.flags.writeable = False  # prime sequences keep views of primes
     return SieveTables(limit, primes)
+
+
+def _odd_prime_flags(limit: int) -> np.ndarray:
+    """flags[i] is True when 2i + 1 <= limit is an odd prime.
+
+    The odd primes p up to sqrt(limit) come from the same sieve run to
+    sqrt(limit).  They clear their odd multiples, a stride of p in the
+    flags from p*p on, one block of _SIEVE_BLOCK flags at a time, so the
+    flags a block clears stay in cache while every p passes over them.
+    """
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    flags[:1] = False
+    root = math.isqrt(limit)
+    base = _flagged_odd_numbers(_odd_prime_flags(root)).tolist() if root >= 3 else []
+    for lo in range(0, len(flags), _SIEVE_BLOCK):
+        hi = lo + _SIEVE_BLOCK
+        for p in base:
+            first = p * p // 2
+            if first >= hi:
+                break
+            # The odd multiples of p sit at the flags i with i % p == p // 2.
+            flags[max(first, lo + (p // 2 - lo) % p) : hi : p] = False
+    return flags
+
+
+def _flagged_odd_numbers(flags: np.ndarray) -> np.ndarray:
+    """2i + 1 for every set flags[i], as a fresh int64 array."""
+    # flatnonzero gives a fresh array, int64 on 64-bit hosts: map it in place.
+    odd = np.flatnonzero(flags).astype(np.int64, copy=False)
+    odd *= 2
+    odd += 1
+    return odd
 
 
 def pi_hardy_wright(n: int) -> int:
@@ -287,12 +335,27 @@ def _semiprime_count(x: int, tables: SieveTables, smallest: int) -> int:
 
 
 def odd_semiprime_flags(tables: SieveTables, limit: int | None = None) -> np.ndarray:
-    """Boolean table marking the odd semiprimes up to ``limit``."""
+    """Boolean table over 0..limit marking the odd semiprimes.
+
+    Its odd entries are the odd-only flags that PRIME_OR_ODD_SEMIPRIME
+    builds (see _mark_odd_semiprimes), written in place; the even ones
+    stay False.
+    """
     if limit is None:
         limit = tables.limit
     elif limit > tables.limit:
         raise LimitExceededError(f"need a sieve up to {limit}, have {tables.limit}")
     flags = np.zeros(limit + 1, dtype=bool)
+    _mark_odd_semiprimes(flags[1::2], tables, limit)
+    return flags
+
+
+def _mark_odd_semiprimes(halves: np.ndarray, tables: SieveTables, limit: int) -> None:
+    """Set halves[t // 2] for every odd semiprime t <= limit.
+
+    ``halves`` holds one flag per odd number up to ``limit``, (limit + 1)
+    // 2 in all.  The tables must cover ``limit``.
+    """
     primes = tables.primes
     # p runs over the odd primes up to sqrt(limit), q over primes[i:end],
     # the primes from p up to limit // p.
@@ -300,8 +363,7 @@ def odd_semiprime_flags(tables: SieveTables, limit: int | None = None) -> np.nda
     hi = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
     ends = np.searchsorted(primes, limit // primes[lo:hi], side="right")
     for i, (p, end) in enumerate(zip(primes[lo:hi].tolist(), ends.tolist()), lo):
-        flags[p * primes[i:end]] = True
-    return flags
+        halves[(p * primes[i:end]) >> 1] = True
 
 
 def odd_square_count(x: int) -> int:
@@ -364,9 +426,10 @@ def make_sequence(
         halves = primes[: np.searchsorted(primes, limit // 2, side="right")]
         return ParitySequence(2 * halves, Parity.EVEN, limit)
     if kind is SequenceKind.PRIME_OR_ODD_SEMIPRIME:
-        flags = odd_semiprime_flags(tables, limit)
-        flags[odd_primes] = True
-        return ParitySequence(np.flatnonzero(flags), Parity.ODD, limit)
+        halves = np.zeros((limit + 1) // 2, dtype=bool)
+        _mark_odd_semiprimes(halves, tables, limit)
+        halves[odd_primes >> 1] = True
+        return ParitySequence(_flagged_odd_numbers(halves), Parity.ODD, limit)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -429,7 +492,8 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     Format: a header line ``parity: odd`` or ``parity: even``, then one
     integer per line in strictly increasing order.  Blank lines and text
     after ``#`` are ignored.  When ``limit`` is given, terms beyond it are
-    dropped; otherwise the limit is the largest term (0 when no term is
+    dropped once every term of the file has passed the order and parity
+    checks; otherwise the limit is the largest term (0 when no term is
     positive).
     """
     path = Path(path)
@@ -459,11 +523,16 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     if rows is None or rows.shape[1] != 1:
         raise _bad_term_line(path, lineno)
     terms = rows.ravel()
+    parity = Parity(value)
+    top = max(int(terms.max()), 0) if terms.size else 0
     if limit is None:
-        limit = max(int(terms.max()), 0) if terms.size else 0
+        limit = top
     else:
+        # Every term of the file is checked before those past the limit are
+        # dropped, so a fault past the limit is not hidden.
+        _check_terms(terms, parity, top)
         terms = terms[terms <= limit]
-    return ParitySequence(terms, Parity(value), limit)
+    return ParitySequence(terms, parity, limit)
 
 
 def _bad_term_line(path: Path, header_lineno: int) -> SequenceFormatError:

@@ -171,6 +171,15 @@ def test_verify_custom_and_corrupted_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_custom_file_fault_past_x_max_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("parity: odd\n1\n9\n3\n5\n")
+    code = main(["compute", "--problem", "custom", "--seq-a", str(path),
+                 "--seq-b", str(path), "--x-max", "6"])
+    assert code == EXIT_USAGE
+    assert "error: terms must be strictly increasing, got 3 after 9" in capsys.readouterr().err
+
+
 def test_verify_builds_the_sieve_once(monkeypatch, capsys):
     import addrep.applications as applications
     import addrep.sequences as sequences

@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -83,6 +85,24 @@ def test_sieve_matches_a_plain_sieve():
         assert primes.dtype == np.int64 and not primes.flags.writeable
         assert np.array_equal(primes, _plain_sieve(limit)), limit
     assert len(primes) == 78_498
+
+
+# Limits at and next to p*p for the first base primes: where a prime's
+# first cleared multiple falls on, or just past, the last flag.
+_SQUARE_LIMITS = [p * p + d for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_blocked_sieve_matches_a_plain_sieve(monkeypatch, block):
+    # Blocks this small make most base primes start past the first block,
+    # and put p*p at many offsets within a block.
+    monkeypatch.setattr(sequences, "_SIEVE_BLOCK", block)
+    for limit in [*range(401), *_SQUARE_LIMITS]:
+        assert np.array_equal(build_sieve(limit).primes, _plain_sieve(limit)), limit
+
+
+def test_sieve_counts_the_primes_below_ten_million():
+    assert len(build_sieve(10**7).primes) == 664_579
 
 
 def test_sieve_keeps_only_its_primes():
@@ -184,6 +204,24 @@ def test_odd_semiprime_flags_match_factorization(limit):
     assert np.flatnonzero(flags).tolist() == expected
 
 
+def test_prime_or_odd_semiprime_matches_factorization():
+    top = 5000
+    expected = [n for n in range(top + 1) if n % 2 and factor_count(n) in (1, 2)]
+    shared = build_sieve(top)
+    for limit in range(top + 1):
+        want = expected[: bisect.bisect_right(expected, limit)]
+        for tables in (None, shared):
+            seq = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, limit, tables=tables)
+            assert seq.terms.tolist() == want, limit
+
+
+def test_prime_or_odd_semiprime_merges_odd_primes_and_semiprime_flags():
+    tables = build_sieve(10**6)
+    seq = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, 10**6, tables=tables)
+    odd_semiprimes = np.flatnonzero(odd_semiprime_flags(tables))
+    assert np.array_equal(seq.terms, np.union1d(tables.primes[1:], odd_semiprimes))
+
+
 # --- ParitySequence basics ------------------------------------------------
 
 def test_counting_and_membership():
@@ -280,9 +318,18 @@ def test_validation_names_the_first_bad_term(terms, parity, limit, error, messag
         ([-1, 3, 5, 7], Parity.ODD, SequenceFormatError, "negative term -1"),
         ([1, 3, 5, 7, 9, 11, 21], Parity.ODD, LimitExceededError, "term 21 lies beyond"),
         ([2, 3, 5, 7, 11, 13, 17, 17], Parity.MIXED, SequenceFormatError, "got 17 after 17"),
+        ([1, 23, 25, 27, 29, 31, 33, 5], Parity.ODD, LimitExceededError, "term 23 lies beyond"),
+        ([1, 3, 5, 8, 10, 12], Parity.ODD, ParityMismatchError, "even term 8"),
+        ([0, 2, 4, 7, 9, 11], Parity.EVEN, ParityMismatchError, "odd term 7"),
+        (np.array([1, 3, 7, 5, 9], dtype=np.uint16), Parity.ODD, SequenceFormatError,
+         "got 5 after 7"),
+        ([1, 3 * 2**61 + 1, -(2**62) + 1, 3], Parity.ODD, LimitExceededError,
+         f"term {3 * 2**61 + 1} lies beyond"),
     ],
     ids=["straddling-pair", "odd-last-block", "even-last-block", "index-0-parity",
-         "index-0-negative", "beyond-limit", "mixed-duplicate"],
+         "index-0-negative", "beyond-limit", "mixed-duplicate", "beyond-limit-then-decrease",
+         "odd-block-first-term", "even-block-first-term", "uint16-straddling-pair",
+         "wrapping-gaps"],
 )
 def test_validation_in_blocks_names_the_first_bad_term(
     monkeypatch, terms, parity, error, message
@@ -293,6 +340,80 @@ def test_validation_in_blocks_names_the_first_bad_term(
         monkeypatch.setattr(sequences, "_CHECK_BLOCK", block)
         with pytest.raises(error, match=message):
             ParitySequence(np.array(terms), parity, 20)
+
+
+def _mask_scan(terms, parity, limit, block):
+    """The reference check: a per-term mask over each block, no fast test."""
+    want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
+    for start in range(0, len(terms), block):
+        lo = max(start - 1, 0)
+        chunk = terms[lo : start + block]
+        bad = (chunk < 0) | (chunk > limit)
+        bad[1:] |= chunk[1:] <= chunk[:-1]
+        if want is not None:
+            bad |= (chunk & 1) != want
+        if bad.any():
+            i = lo + int(bad.argmax())
+            break
+    else:
+        return
+    t = int(terms[i])
+    if t < 0:
+        raise SequenceFormatError(f"negative term {t}")
+    if i and t <= terms[i - 1]:
+        raise SequenceFormatError(
+            f"terms must be strictly increasing, got {t} after {int(terms[i - 1])}"
+        )
+    if t > limit:
+        raise LimitExceededError(f"term {t} lies beyond limit {limit}")
+    other = "even" if parity is Parity.ODD else "odd"
+    raise ParityMismatchError(f"{other} term {t} in an {parity.value} sequence")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (SequenceFormatError, LimitExceededError, ParityMismatchError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _faulty_terms(rng, parity, limit, signed):
+    """A short valid sequence, then at most one injected fault."""
+    step = 1 if parity is Parity.MIXED else 2
+    start = 1 if parity is Parity.ODD else 0
+    pool = range(start, limit + 1, step)
+    terms = sorted(rng.sample(pool, rng.randint(0, 12)))
+    faults = ["none", "repeat", "decrease", "beyond", "parity"] + ["negative"] * signed
+    fault = rng.choice(faults)
+    if not terms or fault == "none":
+        return terms
+    j = rng.randrange(len(terms))
+    if fault == "negative":
+        terms[j] = -rng.randint(1, 9)
+    elif fault == "repeat" and j:
+        terms[j] = terms[j - 1]
+    elif fault == "decrease" and j:
+        terms[j] = max(terms[j - 1] - step * rng.randint(1, 3), 0)
+    elif fault == "beyond":
+        terms[j] = limit + rng.randint(1, 4)
+    elif fault == "parity":
+        terms[j] += 1
+    return terms
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+def test_validation_matches_a_per_term_mask_scan(monkeypatch, block, dtype):
+    monkeypatch.setattr(sequences, "_CHECK_BLOCK", block)
+    rng = random.Random(block)
+    signed = np.dtype(dtype).kind == "i"
+    for _ in range(400):
+        parity = rng.choice(list(Parity))
+        terms = np.array(_faulty_terms(rng, parity, 40, signed), dtype=dtype)
+        expected = _outcome(_mask_scan, terms, parity, 40, block)
+        assert _outcome(sequences._check_terms, terms, parity, 40) == expected, (
+            terms, parity)
 
 
 def test_validation_allocates_no_full_size_temporaries():
@@ -543,6 +664,20 @@ def test_load_sequence_without_limit_names_the_fault(tmp_path, body, message):
     path.write_text("parity: odd\n" + body)
     with pytest.raises(SequenceFormatError, match=message):
         load_sequence(path)
+
+
+@pytest.mark.parametrize("limit", [None, 6])
+@pytest.mark.parametrize(
+    "body, error, message",
+    [("1\n9\n3\n5\n", SequenceFormatError, "strictly increasing, got 3 after 9"),
+     ("1\n3\n8\n", ParityMismatchError, "even term 8 in an odd sequence")],
+)
+def test_load_sequence_checks_terms_past_the_limit(tmp_path, limit, body, error, message):
+    # Terms past the limit are dropped only once the whole file is sound.
+    path = tmp_path / "f.txt"
+    path.write_text("parity: odd\n" + body)
+    with pytest.raises(error, match=message):
+        load_sequence(path, limit=limit)
 
 
 def test_load_sequence_without_terms(tmp_path):
