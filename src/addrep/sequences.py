@@ -49,6 +49,10 @@ COUNT_TABLE_LIMIT = 2**31
 # Terms are validated this many at a time (see _check_terms).
 _CHECK_BLOCK = 1 << 16
 
+# A block whose int64 gaps all lie below this bound sums them to less than
+# 2**63, so with its last term at or above its first none of them wrapped.
+_GAP_BOUND = 2**63 // _CHECK_BLOCK
+
 # The sieve clears this many flags (512 kB) at a time, a block that stays in
 # a core's L2 cache (see _odd_prime_flags).
 _SIEVE_BLOCK = 1 << 19
@@ -179,9 +183,11 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
     boundary.  One pass writes a block's gaps into a reused int64 buffer
     (signed, so a decrease between unsigned terms reads negative); the
     block is sound when the smallest gap is positive, the bitwise or of
-    the gaps is below 2**31 (so their running sums cannot wrap) and, for
-    an odd or even sequence, even, and when its first and last terms lie
-    in [0, limit] and the first has the right parity.  Only a block that
+    the gaps is below _GAP_BOUND and, for an odd or even sequence, even,
+    and when 0 <= first <= last <= limit for its first and last terms and
+    the first has the right parity.  A gap that wrapped in int64 reads
+    2**64 more than the true one, so gaps that sum to less than 2**63
+    while last - first >= 0 include none that wrapped.  Only a block that
     fails that test is scanned term by term, so the error names the first
     bad term whatever the block size.  The temporaries stay a few hundred
     kB at any length.
@@ -193,9 +199,9 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
         block = terms[lo : start + _CHECK_BLOCK]
         gaps = np.subtract(block[1:], block[:-1], out=buf[: len(block) - 1], dtype=np.int64)
         first = int(block[0])
-        if 0 <= first and int(block[-1]) <= limit and (not gaps.size or gaps.min() > 0):
+        if 0 <= first <= int(block[-1]) <= limit and (not gaps.size or gaps.min() > 0):
             spread = int(np.bitwise_or.reduce(gaps))
-            if spread < COUNT_TABLE_LIMIT and (
+            if spread < _GAP_BOUND and (
                 want is None or (first & 1 == want and not spread & 1)
             ):
                 continue
@@ -203,7 +209,7 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
         bad[1:] |= block[1:] <= block[:-1]
         if want is not None:
             bad |= (block & 1) != want
-        if bad.any():  # gaps of 2**31 or more fail the fast test yet may be sound
+        if bad.any():  # gaps of _GAP_BOUND or more fail the fast test yet may be sound
             i = lo + int(bad.argmax())
             break
     else:
@@ -524,14 +530,14 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
         raise _bad_term_line(path, lineno)
     terms = rows.ravel()
     parity = Parity(value)
-    top = max(int(terms.max()), 0) if terms.size else 0
     if limit is None:
-        limit = top
+        limit = max(int(terms.max()), 0) if terms.size else 0
     else:
-        # Every term of the file is checked before those past the limit are
-        # dropped, so a fault past the limit is not hidden.
-        _check_terms(terms, parity, top)
-        terms = terms[terms <= limit]
+        # Every term of the file is checked for sign, order and parity before
+        # those past the limit are dropped, so a fault past the limit is not
+        # hidden; the checked terms are sorted, so the kept ones are a prefix.
+        _check_terms(terms, parity, np.iinfo(np.int64).max)
+        terms = terms[: terms.searchsorted(limit, side="right")]
     return ParitySequence(terms, parity, limit)
 
 

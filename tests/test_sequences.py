@@ -325,11 +325,15 @@ def test_validation_names_the_first_bad_term(terms, parity, limit, error, messag
          "got 5 after 7"),
         ([1, 3 * 2**61 + 1, -(2**62) + 1, 3], Parity.ODD, LimitExceededError,
          f"term {3 * 2**61 + 1} lies beyond"),
+        ([2**63 - 3, -(2**63) + 1], Parity.ODD, LimitExceededError,
+         f"term {2**63 - 3} lies beyond"),
+        (np.array([2**64 - 3, 1], dtype=np.uint64), Parity.ODD, LimitExceededError,
+         f"term {2**64 - 3} lies beyond"),
     ],
     ids=["straddling-pair", "odd-last-block", "even-last-block", "index-0-parity",
          "index-0-negative", "beyond-limit", "mixed-duplicate", "beyond-limit-then-decrease",
          "odd-block-first-term", "even-block-first-term", "uint16-straddling-pair",
-         "wrapping-gaps"],
+         "wrapping-gaps", "one-wrapping-gap", "uint64-wrapping-gap"],
 )
 def test_validation_in_blocks_names_the_first_bad_term(
     monkeypatch, terms, parity, error, message
