@@ -171,32 +171,32 @@ def _problem(
 
 def _compute_rows(args: argparse.Namespace):
     run = _problem(args)
-    values = run.spec.run(run.n_max, args.limit)
-    rows = np.empty((len(values), 2), dtype=np.int64)
-    rows[:, 0] = np.arange(run.keys.start, run.keys.stop, run.keys.step)
-    rows[:, 1] = values
-    return rows, run.header, run.meta
+    return (run.keys, run.spec.run(run.n_max, args.limit)), run.header, run.meta
 
 
-def _format_rows(rows: np.ndarray, literals: Sequence[str]) -> Iterator[str]:
+def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
     """The text of ``literals[0] r0 literals[1] r1 ... literals[-1]`` for
-    each row (r0, r1, ...) of the nonnegative int64 matrix ``rows``, one
-    block of rows at a time."""
+    each row (r0, r1, ...) of ``columns``, equal-length nonnegative int64
+    arrays or ranges, one block of rows at a time.  A range's block is
+    built by ``np.arange``, so keys never take a full-length array."""
     literal_bytes = [np.frombuffer(text.encode("ascii"), dtype=np.uint8) for text in literals]
-    for start in range(0, len(rows), BLOCK_ROWS):
-        yield _format_block(rows[start : start + BLOCK_ROWS], literal_bytes)
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        block = [column[start : start + BLOCK_ROWS] for column in columns]
+        block = [np.arange(part.start, part.stop, part.step, dtype=np.int64)
+                 if isinstance(part, range) else part for part in block]
+        yield _format_block(block, literal_bytes)
 
 
-def _format_block(block: np.ndarray, literal_bytes: list[np.ndarray]) -> str:
+def _format_block(block: list[np.ndarray], literal_bytes: list[np.ndarray]) -> str:
     """One block of ``_format_rows``: a uint8 matrix, one line of it per row,
     with a field per column as wide as the block's largest value.  Repeated
     ``// 10`` fills the fields with digits, and their leading zeros are
     masked out when the matrix is flattened."""
-    widths = [len(str(int(values.max()))) for values in block.T]
-    mat = np.empty((len(block), sum(map(len, literal_bytes)) + sum(widths)), np.uint8)
+    widths = [len(str(int(values.max()))) for values in block]
+    mat = np.empty((len(block[0]), sum(map(len, literal_bytes)) + sum(widths)), np.uint8)
     keep = np.ones(mat.shape, dtype=bool)
     end = 0  # one past the field being filled
-    for literal, values, width in zip(literal_bytes, block.T, widths):
+    for literal, values, width in zip(literal_bytes, block, widths):
         mat[:, end : end + len(literal)] = literal
         end += len(literal) + width
         for j in range(end - 1, end - width - 1, -1):
@@ -211,28 +211,30 @@ def _format_block(block: np.ndarray, literal_bytes: list[np.ndarray]) -> str:
     return str(text, "ascii")
 
 
-def write_bfile(fh, rows: np.ndarray, header_lines) -> None:
-    """Header lines, then one 'n a(n)' line per (n, a(n)) row of ``rows``."""
+def write_bfile(fh, columns, header_lines) -> None:
+    """Header lines, then one 'n a(n)' line per row of ``columns``, the keys
+    n and the counts a(n) (see ``_format_rows``)."""
     fh.write("".join(line + "\n" for line in header_lines))
-    for text in _format_rows(rows, ["", " ", "\n"]):
+    for text in _format_rows(columns, ["", " ", "\n"]):
         fh.write(text)
 
 
-def write_csv(fh, rows: np.ndarray, header_lines) -> None:
+def write_csv(fh, columns, header_lines) -> None:
     fh.write("".join(line + "\n" for line in header_lines) + "n,count\n")
-    for text in _format_rows(rows, ["", ",", "\n"]):
+    for text in _format_rows(columns, ["", ",", "\n"]):
         fh.write(text)
 
 
-def write_json(fh, rows: np.ndarray, meta) -> None:
-    """``json.dump(dict(meta, rows=rows.tolist()), fh, indent=2)`` and a
-    newline, with the rows formatted by ``_format_rows``."""
+def write_json(fh, columns, meta) -> None:
+    """``json.dump(dict(meta, rows=rows), fh, indent=2)`` and a newline,
+    with ``rows`` the [n, a(n)] rows of ``columns`` formatted by
+    ``_format_rows``."""
     head = json.dumps(dict(meta, rows=[]), indent=2)
-    if not len(rows):
+    if not len(columns[0]):
         fh.write(head + "\n")
         return
     fh.write(head.removesuffix("[]\n}") + "[\n")
-    blocks = _format_rows(rows, ["    [\n      ", ",\n      ", "\n    ],\n"])
+    blocks = _format_rows(columns, ["    [\n      ", ",\n      ", "\n    ],\n"])
     text = next(blocks)
     for following in blocks:
         fh.write(text)
@@ -258,9 +260,9 @@ def read_bfile(path) -> list[tuple[int, int]]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    rows, header, meta = _compute_rows(args)
+    columns, header, meta = _compute_rows(args)
     if args.output_path == "-":
-        _write_rows(sys.stdout, args.output_format, rows, header, meta)
+        _write_rows(sys.stdout, args.output_format, columns, header, meta)
         return EXIT_OK
     # Write beside the target and rename over it, so that a failed or
     # interrupted run leaves no partial file and any older file intact.
@@ -268,7 +270,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     fh = open(tmp, "x")
     try:
         with fh:
-            _write_rows(fh, args.output_format, rows, header, meta)
+            _write_rows(fh, args.output_format, columns, header, meta)
         os.replace(tmp, args.output_path)
     except BaseException:
         os.remove(tmp)
@@ -276,13 +278,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_rows(fh, fmt, rows, header, meta) -> None:
+def _write_rows(fh, fmt, columns, header, meta) -> None:
     if fmt == "bfile":
-        write_bfile(fh, rows, header)
+        write_bfile(fh, columns, header)
     elif fmt == "csv":
-        write_csv(fh, rows, header)
+        write_csv(fh, columns, header)
     else:
-        write_json(fh, rows, meta)
+        write_json(fh, columns, meta)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

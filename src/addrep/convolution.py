@@ -10,8 +10,19 @@ series costs one O(K log K) convolution for K targets.  The counts are:
   terms; for equal sequences this is ``(N_AA + delta) / 2``.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
-``2k + base``, with the recursion's bases.  Float results further than
-0.25 from an integer raise ResourceBudgetError rather than being rounded.
+``2k + base``, with the recursion's bases.  Float results not within
+0.25 of an integer, NaN and inf included, raise ResourceBudgetError
+rather than being rounded.
+
+A transform reads one float64 indicator of K entries, written straight
+from the terms and padded by ``rfft`` itself, and makes one spectrum;
+the spectra are combined in place and each is dropped once used.  For
+``A`` within ``B`` (the paper's subset formula; Chen's odd primes within
+the primes-or-odd-semiprimes) ``W = A``, so the spectrum
+``fa (2 fb - fa)`` takes two forward transforms where
+``2 fa fb - fw fw`` takes three.  Containment and ``W`` come from one
+gather of B's indicator at A's terms.  ``rfft``'s ``out=`` needs
+numpy >= 2.0.
 
 When one side has only k terms, k shifted adds of the other side's
 indicator give ``N_AB`` exactly and the shared terms' own pairs give the
@@ -54,15 +65,20 @@ def fast_length(n: int) -> int:
 
 
 def exact_counts(values: np.ndarray) -> np.ndarray:
-    """Round float counts to int64, refusing any that are not near-integers."""
-    rounded = np.rint(values)
-    error = float(np.max(np.abs(values - rounded)))
-    if error >= 0.25:
+    """Round float counts to int64, refusing any that are not within 0.25
+    of an integer, NaN and inf included.  ``values`` is left holding the
+    rounding errors."""
+    counts = np.empty(values.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast; refused below
+        np.rint(values, out=counts, casting="unsafe")
+    errors = np.abs(np.subtract(values, counts, out=values), out=values)
+    error = float(errors.max())
+    if not error < 0.25:
         raise ResourceBudgetError(
             f"convolution is {error:.3g} away from an integer; "
             "exact counts cannot be recovered in float64"
         )
-    return rounded.astype(np.int64)
+    return counts
 
 
 def _indicator(terms: np.ndarray, size: int) -> np.ndarray:
@@ -97,23 +113,48 @@ def count_series(
     return _by_fft(kind, size, length, a, b)
 
 
-def _by_fft(kind, size, length, a, b) -> np.ndarray:
-    a_flags = _indicator(a, size)
-    fa = np.fft.rfft(a_flags, length)
+def _by_fft(kind, size, length, a, b, subset=None) -> np.ndarray:
+    """The transform route.  ``subset`` forces the route for A within B on
+    (where A is within B) or off; None takes it when A is within B."""
+    buf = np.zeros(size)  # each indicator in turn; rfft pads it to length
+    buf[(a if b is None else b) // 2] = 1
+    spectrum = np.fft.rfft(buf, length)
+    shared = a  # W, the terms A and B share
     if b is None:
-        w_flags = a_flags
-        spectrum = fa * fa
+        spectrum *= spectrum
     else:
-        b_flags = _indicator(b, size)
-        fb = np.fft.rfft(b_flags, length)
+        if kind is not EvaluatorKind.EVEN_ODD:
+            in_b = buf[a // 2] == 1  # a gather, where np.isin would sort both
+            subset = in_b.all() if subset is None else subset
+        buf[b // 2] = 0
+        buf[a // 2] = 1
+        fa = np.fft.rfft(buf, length)
         if kind is EvaluatorKind.EVEN_ODD:
-            return exact_counts(np.fft.irfft(fa * fb, length)[:size])
-        w_flags = a_flags & b_flags
-        fw = np.fft.rfft(w_flags, length)
-        spectrum = 2 * fa * fb - fw * fw
-    counts = exact_counts(np.fft.irfft(spectrum, length)[:size])
-    counts[::2] += w_flags[: (size + 1) // 2]
-    return counts // 2
+            spectrum *= fa
+        elif subset:  # W = A: fa (2 fb - fa)
+            spectrum *= 2
+            spectrum -= fa
+            spectrum *= fa
+        else:  # 2 fa fb - fw fw, with fw in the place of fa
+            spectrum *= fa
+            spectrum *= 2
+            buf[a[~in_b] // 2] = 0
+            fw = np.fft.rfft(buf, length, out=fa)
+            fw *= fw
+            spectrum -= fw
+            shared = a[in_b]
+        del fa
+    del buf
+    values = np.fft.irfft(spectrum, length)[:size]
+    del spectrum
+    counts = exact_counts(values)
+    if kind is EvaluatorKind.EVEN_ODD:
+        return counts
+    # delta(x) = [x/2 in W] is 1 at the even index 2 (w // 2) of each w in W.
+    at = shared // 2 * 2
+    counts[at[at < size]] += 1
+    counts //= 2
+    return counts
 
 
 def _by_shifts(kind, size, a, b) -> np.ndarray:

@@ -464,19 +464,21 @@ def pronics_upto(limit: int) -> np.ndarray:
 
 def _custom_sequence(terms, parity: Parity | None, limit: int) -> ParitySequence:
     terms = _term_array(terms)
-    if terms.size:
-        odd = terms % 2 == 1
-        if (odd != odd[0]).any():
-            raise SequenceFormatError("custom sequence mixes odd and even terms")
-        term_parity = Parity.ODD if odd[0] else Parity.EVEN
-        if parity is not None and parity is not term_parity:
-            raise ParityMismatchError(
-                f"terms are {term_parity.value} but parity {parity.value} was declared"
-            )
-        parity = term_parity
-    elif parity is None:
-        raise SequenceFormatError("an empty custom sequence needs an explicit parity")
-    return ParitySequence(terms, parity, limit)
+    if not terms.size:
+        if parity is None:
+            raise SequenceFormatError("an empty custom sequence needs an explicit parity")
+        return ParitySequence(terms, parity, limit)
+    # The first term sets the parity; the term check holds the rest to it.
+    term_parity = Parity.ODD if terms[0] % 2 else Parity.EVEN
+    try:
+        seq = ParitySequence(terms, term_parity, limit)
+    except ParityMismatchError:
+        raise SequenceFormatError("custom sequence mixes odd and even terms") from None
+    if parity is not None and parity is not term_parity:
+        raise ParityMismatchError(
+            f"terms are {term_parity.value} but parity {parity.value} was declared"
+        )
+    return seq
 
 
 def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:

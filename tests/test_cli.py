@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrep.cli import (
+    BLOCK_ROWS,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -331,9 +332,9 @@ def test_bench_rejects_custom(capsys):
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     import addrep.cli as cli
 
-    def failing_writer(fh, rows, header_lines):
+    def failing_writer(fh, columns, header_lines):
         fh.write(header_lines[0] + "\n")
-        for n, v in rows:
+        for n, v in zip(*columns):
             fh.write(f"{n} {v}\n")
             if n == 10:
                 raise OSError("disk full")
@@ -372,10 +373,11 @@ def test_rounding_guard_exits_with_resource_code(monkeypatch, capsys):
     import numpy as np
 
     irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
-    code = main(["compute", "--problem", "goldbach", "--n-max", "30"])
-    assert code == EXIT_RESOURCE
-    assert "away from an integer" in capsys.readouterr().err
+    for off in (0.3, np.nan):
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + off)
+        code = main(["compute", "--problem", "goldbach", "--n-max", "30"])
+        assert code == EXIT_RESOURCE
+        assert "away from an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["5", "5 6 7", "5 x"])
@@ -490,8 +492,23 @@ def test_writers_match_the_f_string_and_json_output(rows):
         (cli.write_json, meta, _old_json(pairs, meta)),
     ):
         buf = io.StringIO()
-        writer(buf, rows, context)
+        writer(buf, rows.T, context)
         assert buf.getvalue() == want, writer.__name__
+
+
+@pytest.mark.parametrize("keys", [range(0), range(1, 2), range(7, 7 + 2 * (2 * BLOCK_ROWS + 1), 2)])
+def test_writers_build_a_range_key_column_block_by_block(keys):
+    import io
+
+    import addrep.cli as cli
+
+    counts = np.arange(len(keys), dtype=np.int64) * 3
+    for writer, context in ((cli.write_bfile, ["# h"]), (cli.write_csv, ["# h"]),
+                            (cli.write_json, {"problem": "p"})):
+        by_range, by_array = io.StringIO(), io.StringIO()
+        writer(by_range, (keys, counts), context)
+        writer(by_array, (np.array(keys, dtype=np.int64), counts), context)
+        assert by_range.getvalue() == by_array.getvalue(), writer.__name__
 
 
 def _run_python(*args):

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addrep import convolution
@@ -10,7 +11,7 @@ from addrep.convolution import count_series, exact_counts, fast_length
 from addrep.errors import ResourceBudgetError
 from addrep.oracle import brute_count_series
 from addrep.recursion import _BASES, EvaluatorKind, Formula, RecursionEvaluator
-from addrep.sequences import Parity, ParitySequence, build_sieve
+from addrep.sequences import Parity, ParitySequence, SequenceKind, build_sieve, make_sequence
 from conftest import KIND_PARITIES
 
 
@@ -24,24 +25,34 @@ def _sequence(parity: Parity, limit: int, slots) -> ParitySequence:
 
 
 def _forced_routes(kind, x_last, a_terms, b_terms):
-    """The engine's counts by its transform route and by its shifted adds."""
+    """The engine's counts by its shifted adds and by its transform route,
+    that route with the subset route left to itself, forced off and, where
+    A is within B, forced on; equal sequences also run as a pair."""
     size = (x_last - _BASES[kind]) // 2 + 1
+    length = fast_length(2 * size - 1)
     a_terms = a_terms[a_terms < 2 * size]  # the terms count_series keeps
     b_terms = None if b_terms is None else b_terms[b_terms < 2 * size]
-    by_fft = convolution._by_fft(kind, size, fast_length(2 * size - 1), a_terms, b_terms)
-    return by_fft.tolist(), convolution._by_shifts(kind, size, a_terms, b_terms).tolist()
+    routes = [convolution._by_shifts(kind, size, a_terms, b_terms)]
+    for b in [b_terms] if b_terms is not None else [None, a_terms]:
+        subsets = [None, False]
+        if b is not None and np.isin(a_terms, b).all():
+            subsets.append(True)
+        for subset in subsets:
+            routes.append(convolution._by_fft(kind, size, length, a_terms, b, subset))
+    return [counts.tolist() for counts in routes]
 
 
 def _check_three_routes(kind, a, b, relation):
-    """Engine (by either of its routes) == every applicable recursion
+    """Engine (by any of its routes) == every applicable recursion
     formula == brute force."""
     base = _BASES[kind]
     x_last = base + 2 * ((a.limit - base) // 2)
     b_terms = None if relation == "equal" else b.terms
     engine = count_series(kind, x_last, a.terms, b_terms).tolist()
-    assert _forced_routes(kind, x_last, a.terms, b_terms) == (engine, engine)
+    for counts in _forced_routes(kind, x_last, a.terms, b_terms):
+        assert counts == engine
     formulas = [Formula.GENERAL]
-    if kind is not EvaluatorKind.EVEN_ODD and relation != "independent":
+    if kind is not EvaluatorKind.EVEN_ODD and relation in ("subset", "equal"):
         formulas.append(Formula.SUBSET)
         if relation == "equal":
             formulas.append(Formula.EQUAL)
@@ -61,7 +72,8 @@ def sequence_pairs(draw):
     limit = draw(st.integers(_BASES[kind], 150))  # odd and even limits
     relation = "independent"
     if kind is not EvaluatorKind.EVEN_ODD:
-        relation = draw(st.sampled_from(["independent", "subset", "equal"]))
+        relation = draw(st.sampled_from(
+            ["independent", "subset", "equal", "overlapping", "disjoint"]))
     slots_a = range((limit - _first_term(pa)) // 2 + 1)
     slots_b = range((limit - _first_term(pb)) // 2 + 1)
     b_slots = draw(st.sets(st.sampled_from(slots_b)) if slots_b else st.just(set()))
@@ -69,8 +81,15 @@ def sequence_pairs(draw):
         a_slots = b_slots
     elif relation == "subset":
         a_slots = {s for s in b_slots if draw(st.booleans())}
+    elif relation == "overlapping":  # some terms shared, some not
+        outside = [s for s in slots_a if s not in b_slots]
+        assume(b_slots and outside)
+        a_slots = (draw(st.sets(st.sampled_from(sorted(b_slots)), min_size=1))
+                   | draw(st.sets(st.sampled_from(outside), min_size=1)))
     else:
         a_slots = draw(st.sets(st.sampled_from(slots_a)) if slots_a else st.just(set()))
+        if relation == "disjoint":
+            a_slots -= b_slots
     a = _sequence(pa, limit, a_slots)
     b = _sequence(pb, limit, b_slots)
     return kind, a, b, relation
@@ -161,9 +180,36 @@ def test_rejects_x_max_below_base():
 
 def test_rounding_guard_raises_off_integer_values():
     assert exact_counts(np.array([0.0, 1.2499, 2.7501])).tolist() == [0, 1, 3]
-    for off in (0.25, 0.5, -0.3):
+    for off in (0.25, 0.5, -0.3, np.nan, np.inf, -np.inf):
         with pytest.raises(ResourceBudgetError):
             exact_counts(np.array([1.0, 4.0 + off, 2.0]))
+
+
+@pytest.mark.parametrize("shape", ["goldbach", "chen", "lemoine-levy"])
+def test_transform_route_peak_memory_per_target(shape):
+    # One float64 indicator (8 B per target) and the spectra of length
+    # L / 2 + 1 = K + 1 (16 B per target each): a pair holds the indicator
+    # and two spectra at its second transform, an equal pair one spectrum
+    # and the inverse transform's output.
+    n = 10**5
+    tables = build_sieve(2 * n)
+    odd_primes = make_sequence(SequenceKind.ODD_PRIMES, 2 * n, tables=tables).terms
+    kind, x_max, a, b, bound = {
+        "goldbach": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes, None, 33),
+        "chen": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes, make_sequence(
+            SequenceKind.PRIME_OR_ODD_SEMIPRIME, 2 * n, tables=tables).terms, 41),
+        "lemoine-levy": (EvaluatorKind.EVEN_ODD, 2 * n - 1, make_sequence(
+            SequenceKind.DOUBLED_PRIMES, 2 * n, tables=tables).terms, odd_primes, 41),
+    }[shape]
+    count_series(kind, x_max, a, b)  # numpy's plan for this length, made once
+    tracemalloc.start()
+    try:
+        counts = count_series(kind, x_max, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == n
+    assert peak < bound * n  # 70-107 B per target with full-length temporaries
 
 
 def test_fast_length_is_smallest_5_smooth():

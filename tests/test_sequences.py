@@ -475,6 +475,30 @@ def test_queries_build_no_table():
     assert peak < 2**20  # a table to 10^7 would take 40 MB
 
 
+def test_custom_sequence_checks_its_terms_once():
+    terms = np.arange(1, 10**7 + 1, 2)
+    tracemalloc.start()
+    try:
+        seq = make_sequence(SequenceKind.CUSTOM, 10**7, terms=terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # terms % 2 == 1 over all terms takes 40 MB, then 5 MB
+    assert seq.parity is Parity.ODD and len(seq) == 5 * 10**6
+
+
+@pytest.mark.parametrize("terms, parity, error, match", [
+    (list(range(1, 2 * 10**5, 2)) + [2 * 10**5], None, SequenceFormatError, "mixes"),
+    ([0, 2, 5], Parity.EVEN, SequenceFormatError, "mixes"),
+    ([1, 2], Parity.EVEN, SequenceFormatError, "mixes"),
+    ([1, 3], Parity.EVEN, ParityMismatchError, "terms are odd but parity even"),
+    ([], None, SequenceFormatError, "explicit parity"),
+])
+def test_custom_sequence_errors(terms, parity, error, match):
+    with pytest.raises(error, match=match):
+        make_sequence(SequenceKind.CUSTOM, 2 * 10**5, terms=terms, parity=parity)
+
+
 def test_custom_sequence_via_make_sequence():
     seq = make_sequence(SequenceKind.CUSTOM, 10, terms=[1, 3, 9])
     assert seq.parity is Parity.ODD
