@@ -2,12 +2,11 @@
 
 Each problem in PROBLEMS lists its ``parts``: an evaluator kind and the
 builders of its two sequences.  A problem's count is the sum of its
-parts' counts, and ``problem_counts`` derives all three routes from
-``parts``: the engine (one exact FFT convolution per part, behind
-``compute`` and the functions below), the paper's recursion
-(``evaluator_series``) and brute-force enumeration (``oracle_series``).
+parts' counts, and ``ProblemSpec.counts`` runs any of three routes over
+``parts``: the engine (one exact FFT convolution per part, behind the
+functions below), the paper's recursion and brute-force enumeration.
 ``custom_problem`` turns any pair of parity sequences into a one-part
-problem of the same shape, whose ``compute`` runs the recursion.
+problem of the same shape.
 
 * ``goldbach``        g(2n): even 2n as two odd primes (A002375);
 * ``chen_odd_odd``    g1(2n): even 2n as an odd prime plus an odd prime
@@ -124,12 +123,10 @@ _PRONIC = _built_in(SequenceKind.PRONIC)
 class ProblemSpec:
     """A named problem: its argument convention, its parts and its routes.
 
-    ``compute`` (and ``run``) runs ``route``, the engine unless given,
-    and ``evaluator_series`` and ``oracle_series`` the recursion and oracle
-    routes, all over ``parts`` by ``problem_counts``.  ``compute`` and
-    ``oracle_series`` also take sieve tables covering ``x_of_n(n_max)``,
-    which a ``sieved`` problem builds for itself when given None; ``sieve``
-    builds them under a caller's table cap.
+    ``counts`` runs any route over ``parts``; ``compute`` is its engine
+    route as a ``CountSeries``.  Both take sieve tables covering
+    ``x_of_n(n_max)``, which a ``sieved`` problem builds for itself when
+    given None; ``sieve`` builds them under a caller's table cap.
     """
 
     name: str
@@ -140,23 +137,18 @@ class ProblemSpec:
     argument_desc: str
     parts: tuple[Part, ...]
     sieved: bool = False
-    route: str = "engine"
+    # perfbench's tracer swaps these two wrappers of ``counts`` for traced
+    # ones (``dataclasses.replace``); they go once it traces ``counts``.
     compute: Callable[..., CountSeries] | None = None
-    evaluator_series: Callable[[int], list[int]] | None = None
-    oracle_series: Callable[..., list[int]] | None = None
+    oracle_series: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         if self.compute is None:
-            object.__setattr__(self, "compute", self._compute)
-        for field, route in (("evaluator_series", "recursion"),
-                             ("oracle_series", "oracle")):
-            if getattr(self, field) is None:
-                route_series = partial(problem_series, self, route=route)
-                object.__setattr__(self, field, route_series)
-
-    def _compute(self, n_max: int, tables: SieveTables | None = None) -> CountSeries:
-        values = problem_series(self, n_max, self.route, tables)
-        return CountSeries(self.x_of_n(self.n_start), values, self.x_step)
+            object.__setattr__(self, "compute", lambda n_max, tables=None: CountSeries(
+                self.x_of_n(self.n_start), self.counts(n_max, tables=tables).tolist(),
+                self.x_step))
+        if self.oracle_series is None:
+            object.__setattr__(self, "oracle_series", partial(self.counts, route="oracle"))
 
     def x_of_n(self, n: int) -> int:
         return self.x_base + self.x_step * (n - self.n_start)
@@ -165,72 +157,59 @@ class ProblemSpec:
         """The sieve a route to n_max reads, capped at ``cap`` entries, or None."""
         return build_sieve(self.x_of_n(n_max), cap) if self.sieved else None
 
-    def run(self, n_max: int, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
-        """a(n) by ``route`` as an int64 array, where ``compute`` gives a
-        list, with any sieve it needs limited to ``cap`` entries."""
-        return problem_counts(self, n_max, self.route, self.sieve(n_max, cap))
+    def counts(
+        self, n_max: int, route: str = "engine", tables: SieveTables | None = None
+    ) -> np.ndarray:
+        """int64 a(n) for n = n_start..n_max by one route over the problem's parts.
 
-
-def problem_series(
-    spec: ProblemSpec, n_max: int, route: str, tables: SieveTables | None = None
-) -> list[int]:
-    """``problem_counts`` as a list of ints."""
-    return problem_counts(spec, n_max, route, tables).tolist()
-
-
-def problem_counts(
-    spec: ProblemSpec, n_max: int, route: str, tables: SieveTables | None = None
-) -> np.ndarray:
-    """int64 a(n) for n = n_start..n_max by one route over the problem's parts.
-
-    ``route`` is "engine" (the FFT convolution), "recursion"
-    (``RecursionEvaluator``) or "oracle" (``brute_count_series``, with a
-    part's oracle sequence where it has one).  A sieved problem builds its
-    sequences over ``tables``, which must cover ``x_of_n(n_max)``, or over
-    a sieve of its own when None.  Each part's series runs over every
-    target of its kind's lattice up to ``x_of_n(n_max)``; the problem's
-    terms sum one strided slice of each part's values, the entries at
-    x_of_n(n).
-    """
-    if n_max < spec.n_start:
-        raise ValueError(f"n_max must be >= {spec.n_start}")
-    x_max = spec.x_of_n(n_max)
-    tables = ensure_tables(tables, x_max) if spec.sieved else None
-    totals = 0
-    for kind, make_a, make_b, make_oracle_b in spec.parts:
-        if route == "oracle" and make_oracle_b:
-            make_b = make_oracle_b
-        seq_a = make_a(x_max, tables)
-        seq_b = seq_a if make_b is make_a else make_b(x_max, tables)
-        known = min(seq_a.limit, seq_b.limit)
-        if known < x_max:  # the engine would count missing terms as absent
-            raise LimitExceededError(f"sequences are known up to {known}, not {x_max}")
-        if route == "engine":
-            b_terms = None if seq_b is seq_a else seq_b.terms
-            values = convolution.count_series(kind, x_max, seq_a.terms, b_terms)
-        elif route == "recursion":
-            values = RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max).values
-        elif route == "oracle":
-            values = brute_count_series(
-                seq_a, seq_b, x_max,
-                role_tagged=kind is EvaluatorKind.EVEN_ODD, base=_BASES[kind],
-            ).values
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        # Every route's series starts at the kind's base and steps by 2.
-        offset, off_lattice = divmod(spec.x_of_n(spec.n_start) - _BASES[kind], 2)
-        stride, off_stride = divmod(spec.x_step, 2)
-        assert offset >= 0 and not off_lattice and not off_stride
-        totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
-    return totals
+        ``route`` is "engine" (the FFT convolution), "recursion"
+        (``RecursionEvaluator``) or "oracle" (``brute_count_series``, with a
+        part's oracle sequence where it has one).  A sieved problem builds its
+        sequences over ``tables``, which must cover ``x_of_n(n_max)``, or over
+        a sieve of its own when None.  Each part's series runs over every
+        target of its kind's lattice up to ``x_of_n(n_max)``; the problem's
+        terms sum one strided slice of each part's values, the entries at
+        x_of_n(n).
+        """
+        if n_max < self.n_start:
+            raise ValueError(f"n_max must be >= {self.n_start}")
+        x_max = self.x_of_n(n_max)
+        tables = ensure_tables(tables, x_max) if self.sieved else None
+        totals = 0
+        for kind, make_a, make_b, make_oracle_b in self.parts:
+            if route == "oracle" and make_oracle_b:
+                make_b = make_oracle_b
+            seq_a = make_a(x_max, tables)
+            seq_b = seq_a if make_b is make_a else make_b(x_max, tables)
+            known = min(seq_a.limit, seq_b.limit)
+            if known < x_max:  # the engine would count missing terms as absent
+                raise LimitExceededError(f"sequences are known up to {known}, not {x_max}")
+            if route == "engine":
+                b_terms = None if seq_b is seq_a else seq_b.terms
+                values = convolution.count_series(kind, x_max, seq_a.terms, b_terms)
+            elif route == "recursion":
+                values = RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max).values
+            elif route == "oracle":
+                values = brute_count_series(
+                    seq_a, seq_b, x_max,
+                    role_tagged=kind is EvaluatorKind.EVEN_ODD, base=_BASES[kind],
+                ).values
+            else:
+                raise ValueError(f"unknown route {route!r}")
+            # Every route's series starts at the kind's base and steps by 2.
+            offset, off_lattice = divmod(self.x_of_n(self.n_start) - _BASES[kind], 2)
+            stride, off_stride = divmod(self.x_step, 2)
+            assert offset >= 0 and not off_lattice and not off_stride
+            totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
+        return totals
 
 
 _KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
 
 
 def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
-    """Two parity sequences as a one-part problem whose ``compute`` runs the
-    recursion: a(n) counts x = base + 2n, n >= 0.  An odd sequence given
+    """Two parity sequences as a one-part problem: a(n) counts
+    x = base + 2n, n >= 0.  An odd sequence given
     before an even one takes the second role; the counts are unchanged."""
     if (seq_a.parity, seq_b.parity) == (Parity.ODD, Parity.EVEN):
         seq_a, seq_b = seq_b, seq_a
@@ -243,7 +222,6 @@ def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
         name=f"custom {kind.value}", oeis=None, n_start=0, x_base=_BASES[kind], x_step=2,
         argument_desc="a(n) counts decompositions of x = base + 2*n, n >= 0",
         parts=((kind, lambda limit, tables: seq_a, lambda limit, tables: seq_b, None),),
-        route="recursion",
     )
 
 

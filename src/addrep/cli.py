@@ -1,7 +1,8 @@
 """Command line front end: compute, verify and benchmark count series.
 
 Every command resolves ``--problem``, a built-in problem or a custom pair
-of sequence files, to a ``ProblemSpec`` and runs that spec's routes.
+of sequence files, to a ``ProblemSpec`` and a route, and runs it through
+``ProblemSpec.counts``.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 resource limit.  ``main`` returns the code; the process entry point,
 ``console_main``, flushes the output and ends the process at once.
@@ -19,7 +20,7 @@ from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .applications import PROBLEMS, ProblemSpec, custom_problem, two_triangular
+from .applications import PROBLEMS, ProblemSpec, custom_problem
 from .errors import (
     AddrepError,
     ContainmentError,
@@ -43,8 +44,6 @@ DEFAULT_VERIFY_N = 200
 # Rows formatted per block: a 2^14-row digit matrix stays within the CPU
 # caches, where 2^18 rows ran about 1.5x slower.
 BLOCK_ROWS = 1 << 14
-# Lines per write in verify: few writes, and about 90 kB of lines held.
-VERIFY_LINES = 1 << 10
 
 
 class CliUsageError(AddrepError):
@@ -111,12 +110,13 @@ def _check_table_budget(needed: int, cap: int) -> None:
 
 
 class Resolved(NamedTuple):
-    """A ``--problem`` made concrete: its spec, last index n and row labels."""
+    """A ``--problem`` made concrete: its spec, last index n, route and row labels."""
 
     spec: ProblemSpec
     n_max: int
+    route: str  # "recursion" for custom pairs, "engine" otherwise
     keys: range  # each output row's first column: n, or the target x
-    label: str  # verify's row label, formatted with n and x
+    label: dict[str, range]  # verify's row label: each name and its column
     header: list[str]
     meta: dict
 
@@ -126,8 +126,12 @@ def _problem(
 ) -> Resolved:
     """Check the flags, files and table budget and resolve ``--problem``;
     the only place that knows about custom pairs.  ``x_cap`` bounds the
-    last target (verify's ``--oracle-cap``)."""
+    last target (verify's ``--oracle-cap``).  Custom pairs run the paper's
+    recursion, whose summed terms perfbench's custom-general workload
+    counts; built-in problems run the engine."""
     if args.problem == "custom":
+        if args.n_max is not None:
+            raise CliUsageError("--n-max does not apply to custom runs (use --x-max)")
         if not (args.seq_a and args.seq_b and args.x_max is not None and args.x_max >= 0):
             raise CliUsageError("custom runs need --seq-a, --seq-b and --x-max >= 0")
         _check_table_budget(args.x_max, args.limit)
@@ -143,13 +147,20 @@ def _problem(
         if args.x_max < spec.x_base:
             raise CliUsageError(f"--x-max {args.x_max} is below the base target {spec.x_base}")
         n_max = (args.x_max - spec.x_base) // 2
+        keys = range(spec.x_base, args.x_max + 1, 2)
         run = Resolved(
-            spec, n_max, range(spec.x_base, args.x_max + 1, 2), "x={x}",
+            spec, n_max, "recursion", keys, {"x": keys},
             [f"# {spec.name} recursion; lines are 'x a(x)' for the target x",
              f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}"],
             {"problem": "custom", "kind": kind},
         )
     else:
+        for flag in ("x_max", "seq_a", "seq_b", "theorem"):
+            if getattr(args, flag) is not None:
+                raise CliUsageError(
+                    f"--{flag.replace('_', '-')} applies to custom runs only, "
+                    f"not to {args.problem!r}"
+                )
         spec = PROBLEMS[args.problem]
         n_max = args.n_max if args.n_max is not None else default_n
         if n_max is None:
@@ -157,8 +168,10 @@ def _problem(
         if n_max < spec.n_start:
             raise CliUsageError(f"--n-max must be >= {spec.n_start} for {args.problem!r}")
         oeis = [f"# cross-reference: OEIS {spec.oeis}"] if spec.oeis else []
+        keys = range(spec.n_start, n_max + 1)
+        targets = range(spec.x_of_n(spec.n_start), spec.x_of_n(n_max) + 1, spec.x_step)
         run = Resolved(
-            spec, n_max, range(spec.n_start, n_max + 1), "n={n} x={x}",
+            spec, n_max, "engine", keys, {"n": keys, "x": targets},
             [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"] + oeis,
             {"problem": spec.name, "oeis": spec.oeis},
         )
@@ -171,7 +184,8 @@ def _problem(
 
 def _compute_rows(args: argparse.Namespace):
     run = _problem(args)
-    return (run.keys, run.spec.run(run.n_max, args.limit)), run.header, run.meta
+    counts = run.spec.counts(run.n_max, run.route, run.spec.sieve(run.n_max, args.limit))
+    return (run.keys, counts), run.header, run.meta
 
 
 def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
@@ -289,27 +303,26 @@ def _write_rows(fh, fmt, columns, header, meta) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = _problem(args, DEFAULT_VERIFY_N, args.oracle_cap)
-    spec, n_max = run.spec, run.n_max
+    spec, n_max, route = run.spec, run.n_max, run.route
     tables = spec.sieve(n_max, args.limit)
-    got_values = spec.compute(n_max, tables).values
-    want_values = spec.oracle_series(n_max, tables=tables)
-    # One write per block of lines: with PYTHONUNBUFFERED set, every print
-    # would be two write calls.
-    lines = []
-    for n, got, want in zip(range(spec.n_start, n_max + 1), got_values, want_values):
-        label = run.label.format(n=n, x=spec.x_of_n(n))
-        if got != want:
-            lines.append(f"MISMATCH {spec.name} {label}: {spec.route}={got} oracle={want}\n")
-            sys.stdout.write("".join(lines))
-            print(f"verification failed at {label} ({spec.route} {got} vs oracle {want})",
-                  file=sys.stderr)
-            return EXIT_MISMATCH
-        lines.append(f"PASS {spec.name} {label} count={got}\n")
-        if len(lines) == VERIFY_LINES:
-            sys.stdout.write("".join(lines))
-            lines.clear()
-    lines.append(f"PASS {spec.name}: all {len(got_values)} terms match the brute-force oracle\n")
-    sys.stdout.write("".join(lines))
+    got = spec.counts(n_max, route, tables)
+    want = spec.counts(n_max, "oracle", tables)
+    bad = np.flatnonzero(got != want)
+    end = bad[0] if len(bad) else len(got)
+    # The rows before the first mismatch match the oracle, so their counts
+    # are nonnegative and the row writer can format them.
+    names = [f" {name}=" for name in run.label]
+    literals = [f"PASS {spec.name}{names[0]}", *names[1:], " count=", "\n"]
+    columns = [column[:end] for column in (*run.label.values(), got)]
+    for text in _format_rows(columns, literals):
+        sys.stdout.write(text)
+    if end < len(got):
+        label = " ".join(f"{name}={column[end]}" for name, column in run.label.items())
+        sys.stdout.write(f"MISMATCH {spec.name} {label}: {route}={got[end]} oracle={want[end]}\n")
+        print(f"verification failed at {label} ({route} {got[end]} vs oracle {want[end]})",
+              file=sys.stderr)
+        return EXIT_MISMATCH
+    sys.stdout.write(f"PASS {spec.name}: all {len(got)} terms match the brute-force oracle\n")
     return EXIT_OK
 
 
@@ -328,8 +341,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliUsageError("bench supports built-in problems only")
     run = _problem(args, default_n=1000)
     spec = run.spec
-    routes = {"engine": lambda n: spec.compute(n).values,
-              "recursion": spec.evaluator_series, "oracle": spec.oracle_series}
+    routes = ("engine", "recursion", "oracle")
     lemma_column = spec.name == "two-squares"
     header = ["n_max"] + [f"{route}_s" for route in routes]
     print(",".join(header + ["bijection_check"] * lemma_column))
@@ -340,20 +352,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # One untimed call per route first, so that one-off setup (numpy's FFT
     # plans, first allocations) stays out of the first row.
-    for route, series in routes.items():
+    for route in routes:
         if not skipped(route, steps[0]):
-            series(steps[0])
+            spec.counts(steps[0], route)
     for n in steps:
         row, values = [str(n)], {}
-        for route, series in routes.items():
+        for route in routes:
             if skipped(route, n):
                 row.append("")
                 continue
             t0 = time.perf_counter()
-            values[route] = series(n)
+            values[route] = spec.counts(n, route)
             row.append(f"{time.perf_counter() - t0:.6f}")
         if lemma_column:
-            ok = values["recursion"] == two_triangular(n).values
+            ok = np.array_equal(values["recursion"], PROBLEMS["two-triangular"].counts(n))
             row.append("OK" if ok else "FAIL")
         print(",".join(row))
     return EXIT_OK

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from addrep import applications
-from addrep.applications import PROBLEMS, custom_problem, problem_series
+from addrep.applications import PROBLEMS, custom_problem
 from addrep.errors import LimitExceededError, ParityMismatchError
 from addrep.recursion import EvaluatorKind
 from addrep.sequences import (
@@ -116,10 +116,10 @@ SPECS = {**PROBLEMS, **_custom_problems()}
 def test_recursion_equals_evaluator_and_oracle(name):
     spec = SPECS[name]
     n_max = 120
-    fast = problem_series(spec, n_max, "engine")
+    fast = spec.counts(n_max).tolist()
     assert fast == spec.compute(n_max).values
-    assert fast == spec.evaluator_series(n_max)
-    assert fast == spec.oracle_series(n_max)
+    assert fast == spec.counts(n_max, "recursion").tolist()
+    assert fast == spec.counts(n_max, "oracle").tolist()
 
 
 def test_custom_problem_rejects_mixed_parity():
@@ -132,9 +132,9 @@ def test_custom_problem_rejects_mixed_parity():
 def test_custom_routes_refuse_targets_past_the_sequences(route):
     odd = make_sequence(SequenceKind.ODD_PRIMES, 50)
     spec = custom_problem(odd, odd)
-    assert problem_series(spec, 24, route) == problem_series(spec, 24, "oracle")
+    assert spec.counts(24, route).tolist() == spec.counts(24, "oracle").tolist()
     with pytest.raises(LimitExceededError):
-        problem_series(spec, 25, route)  # target 52
+        spec.counts(25, route)  # target 52
 
 
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
@@ -143,8 +143,8 @@ def test_first_terms_agree_on_every_route(name, offset):
     spec = PROBLEMS[name]
     n_max = spec.n_start + offset
     fast = spec.compute(n_max).values
-    assert fast == spec.evaluator_series(n_max) == spec.oracle_series(n_max)
-    assert spec.run(n_max).tolist() == fast
+    assert fast == spec.counts(n_max, "recursion").tolist() == spec.counts(n_max, "oracle").tolist()
+    assert spec.counts(n_max).tolist() == fast
 
 
 def test_shared_tables_are_accepted():

@@ -23,6 +23,20 @@ def _odd_file(tmp_path, name="odd.txt", last=9):
     return str(path)
 
 
+def _rig_oracle(monkeypatch, index):
+    """Add 1 to entry ``index`` of every series the oracle route reads."""
+    import addrep.applications as applications
+
+    brute_count_series = applications.brute_count_series
+
+    def broken_oracle(*args, **kwargs):
+        series = brute_count_series(*args, **kwargs)
+        series.values[index] += 1
+        return series
+
+    monkeypatch.setattr(applications, "brute_count_series", broken_oracle)
+
+
 # --- compute -----------------------------------------------------------------
 
 def test_compute_goldbach_bfile(tmp_path, capsys):
@@ -93,6 +107,33 @@ def test_compute_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--problem", "nope", "--n-max", "3"])
     assert exc.value.code == EXIT_USAGE
+
+
+_BUILT_IN_ARGV = ["--problem", "goldbach", "--n-max", "5"]
+_FOREIGN_FLAGS = [
+    (_BUILT_IN_ARGV + ["--x-max", "3"], "--x-max"),
+    (_BUILT_IN_ARGV + ["--seq-a", "nope.txt"], "--seq-a"),
+    (["--problem", "two-squares", "--n-max", "5", "--seq-b", "nope.txt"], "--seq-b"),
+    (_BUILT_IN_ARGV + ["--theorem", "even-odd"], "--theorem"),
+    (["--problem", "custom", "--seq-a", "ODD", "--seq-b", "ODD", "--x-max", "9",
+      "--n-max", "100"], "--n-max"),
+]
+
+
+# bench refuses custom pairs before it reads any other flag.
+@pytest.mark.parametrize("command, argv, flag", [
+    (command, argv, flag) for command in ("compute", "verify", "bench")
+    for argv, flag in _FOREIGN_FLAGS if command != "bench" or "custom" not in argv
+])
+def test_flags_of_the_other_problem_kind_are_rejected(tmp_path, capsys, command, argv,
+                                                       flag):
+    odd = _odd_file(tmp_path)
+    argv = [odd if arg == "ODD" else arg for arg in argv]
+    assert main([command, *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert flag in captured.err
 
 
 def test_compute_table_budget(capsys):
@@ -206,19 +247,7 @@ def test_verify_oracle_cap(capsys):
 
 
 def test_verify_reports_first_mismatch(monkeypatch, capsys):
-    import dataclasses
-
-    from addrep.applications import PROBLEMS
-
-    spec = PROBLEMS["goldbach"]
-
-    def broken_oracle(n_max, tables=None):
-        values = spec.oracle_series(n_max, tables=tables)
-        values[3] += 1
-        return values
-
-    rigged = dataclasses.replace(spec, oracle_series=broken_oracle)
-    monkeypatch.setitem(PROBLEMS, "goldbach", rigged)
+    _rig_oracle(monkeypatch, 3)
     code = main(["verify", "--problem", "goldbach", "--n-max", "10"])
     assert code == EXIT_MISMATCH
     captured = capsys.readouterr()
@@ -227,15 +256,7 @@ def test_verify_reports_first_mismatch(monkeypatch, capsys):
 
 
 def test_verify_custom_mismatch_names_the_recursion(tmp_path, monkeypatch, capsys):
-    import addrep.applications as applications
-
-    def broken_oracle(*args, **kwargs):
-        series = brute_count_series(*args, **kwargs)
-        series.values[2] += 1
-        return series
-
-    brute_count_series = applications.brute_count_series
-    monkeypatch.setattr(applications, "brute_count_series", broken_oracle)
+    _rig_oracle(monkeypatch, 2)
     odd = _odd_file(tmp_path)
     code = main(["verify", "--problem", "custom", "--seq-a", odd,
                  "--seq-b", odd, "--x-max", "10"])
@@ -266,35 +287,27 @@ def test_bench_two_squares_bijection_column(capsys):
 
 
 def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):
-    import dataclasses
     import time
     import types
 
     import addrep.cli as cli
-    from addrep.applications import PROBLEMS
+    from addrep.applications import ProblemSpec
 
     events = ["start"]
+    counts = ProblemSpec.counts
 
-    def spy(route, series):
-        def call(*args, **kwargs):
-            events.append(route)
-            return series(*args, **kwargs)
-        return call
+    def spy(spec, n_max, route="engine", tables=None):
+        events.append(route)
+        return counts(spec, n_max, route, tables)
 
     def clock():
         events.append("clock")
         return time.perf_counter()
 
-    spec = PROBLEMS["goldbach"]
-    routes = {"compute": "engine", "evaluator_series": "recursion",
-              "oracle_series": "oracle"}
-    rigged = dataclasses.replace(
-        spec, **{field: spy(route, getattr(spec, field)) for field, route in routes.items()}
-    )
-    monkeypatch.setitem(PROBLEMS, "goldbach", rigged)
+    monkeypatch.setattr(ProblemSpec, "counts", spy)
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock))
     assert main(["bench", "--problem", "goldbach", "--n-max", "40"]) == EXIT_OK
-    for route in routes.values():
+    for route in ("engine", "recursion", "oracle"):
         calls = [i for i, event in enumerate(events) if event == route]
         timed = [k for k, i in enumerate(calls) if events[i - 1] == "clock"]
         assert timed[0] == 1, route
@@ -579,32 +592,19 @@ def test_stdout_gets_the_bytes_of_the_out_file(tmp_path):
 def test_verify_writes_its_lines_in_blocks(monkeypatch, capsys):
     import sys
 
-    from addrep.cli import VERIFY_LINES
-
     writes = []
     write = sys.stdout.write
     monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or write(text))
     assert main(["verify", "--problem", "goldbach", "--n-max", "5000"]) == EXIT_OK
-    assert len(writes) == -(-5001 // VERIFY_LINES)
+    # One write per block of PASS rows, and one for the final line.
+    assert len(writes) == -(-5000 // BLOCK_ROWS) + 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5001
     assert lines[4999] == "PASS goldbach n=5000 x=10000 count=127"
 
 
 def test_verify_mismatch_output_is_unchanged(monkeypatch, capsys):
-    import dataclasses
-
-    from addrep.applications import PROBLEMS
-
-    spec = PROBLEMS["two-triangular"]
-
-    def broken_oracle(n_max, tables=None):
-        values = spec.oracle_series(n_max, tables=tables)
-        values[3] += 1
-        return values
-
-    monkeypatch.setitem(PROBLEMS, "two-triangular",
-                        dataclasses.replace(spec, oracle_series=broken_oracle))
+    _rig_oracle(monkeypatch, 3)
     assert main(["verify", "--problem", "two-triangular", "--n-max", "10"]) == EXIT_MISMATCH
     captured = capsys.readouterr()
     assert captured.out == (
@@ -614,3 +614,78 @@ def test_verify_mismatch_output_is_unchanged(monkeypatch, capsys):
         "MISMATCH two-triangular n=3 x=6: engine=1 oracle=2\n"
     )
     assert captured.err == "verification failed at n=3 x=6 (engine 1 vs oracle 2)\n"
+
+
+# --- verify output across a block of rows --------------------------------------
+
+def _verify_lines(name, label, counts, mismatch=None):
+    """verify's stdout as one f-string per row: ``label(i)`` names row i,
+    and ``mismatch`` is the row whose oracle count was raised by one."""
+    rows = range(len(counts) if mismatch is None else mismatch)
+    lines = [f"PASS {name} {label(i)} count={counts[i]}\n" for i in rows]
+    if mismatch is None:
+        lines.append(f"PASS {name}: all {len(counts)} terms match the brute-force oracle\n")
+    else:
+        got = counts[mismatch]
+        lines.append(f"MISMATCH {name} {label(mismatch)}: engine={got} oracle={got + 1}\n")
+    return "".join(lines)
+
+
+def test_verify_output_across_a_block_boundary(capsys):
+    from addrep.applications import PROBLEMS
+
+    spec = PROBLEMS["two-squares"]
+    n_max = BLOCK_ROWS + 16  # targets up to 4 n_max + 1 = 65601
+    assert main(["verify", "--problem", "two-squares", "--n-max", str(n_max),
+                 "--oracle-cap", str(spec.x_of_n(n_max))]) == EXIT_OK
+    counts = spec.counts(n_max).tolist()
+    want = _verify_lines(spec.name, lambda i: f"n={i} x={spec.x_of_n(i)}", counts)
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("parities", [("odd", "odd"), ("even", "even"), ("even", "odd")])
+def test_verify_custom_output_across_a_block_boundary(tmp_path, capsys, parities):
+    import random
+
+    from addrep.applications import custom_problem
+    from addrep.sequences import Parity, ParitySequence
+
+    rng = random.Random(13)
+    x_max = 2 * BLOCK_ROWS + 40
+    paths, seqs = [], []
+    for i, parity in enumerate(parities):
+        first = 1 if parity == "odd" else 0
+        terms = [t for t in range(first, x_max + 1, 2) if rng.random() < 0.02]
+        path = tmp_path / f"{i}.txt"
+        path.write_text("\n".join([f"parity: {parity}"] + [str(t) for t in terms]) + "\n")
+        paths.append(str(path))
+        seqs.append(ParitySequence(terms, Parity(parity), x_max))
+    spec = custom_problem(*seqs)
+    assert main(["verify", "--problem", "custom", "--seq-a", paths[0], "--seq-b", paths[1],
+                 "--x-max", str(x_max), "--oracle-cap", str(x_max)]) == EXIT_OK
+    counts = spec.counts((x_max - spec.x_base) // 2).tolist()
+    assert len(counts) > BLOCK_ROWS
+    want = _verify_lines(spec.name, lambda i: f"x={spec.x_of_n(i)}", counts)
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_verify_mismatch_at_the_first_and_last_row(monkeypatch, capsys, row):
+    from addrep.applications import PROBLEMS
+
+    spec = PROBLEMS["goldbach"]
+    n_max = BLOCK_ROWS + 16
+    _rig_oracle(monkeypatch, row)
+    assert main(["verify", "--problem", "goldbach", "--n-max", str(n_max),
+                 "--oracle-cap", str(spec.x_of_n(n_max))]) == EXIT_MISMATCH
+    counts = spec.counts(n_max).tolist()
+
+    def label(i):
+        return f"n={i + 1} x={spec.x_of_n(i + 1)}"
+
+    captured = capsys.readouterr()
+    assert captured.out == _verify_lines(spec.name, label, counts, row % len(counts))
+    got = counts[row]
+    assert captured.err == (
+        f"verification failed at {label(row % len(counts))} (engine {got} vs oracle {got + 1})\n"
+    )

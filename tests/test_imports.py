@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module, and
-the command line reaches the count routes only through ``applications``.
+the command line reaches the count routes only through ``ProblemSpec.counts``.
 
 No linter ships with the project, so this stands in for the unused-import
 check: names left behind when code is deleted fail here.
@@ -65,6 +65,18 @@ def test_cli_runs_routes_only_through_problem_specs():
         if module.removeprefix("addrep.") in ("oracle", "recursion")
     }
     assert route_imports <= {("recursion", "EvaluatorKind")}
+
+
+def test_cli_runs_routes_only_through_counts():
+    # ProblemSpec.counts is the one route runner; the CLI reaches no other
+    # route entry point of a spec.
+    path = Path(addrep.__file__).parent / "cli.py"
+    attributes = {
+        node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    assert "counts" in attributes
+    assert not attributes & {"compute", "oracle_series", "evaluator_series", "run"}
 
 
 def test_prefix_tables_are_built_only_by_the_recursion():
