@@ -17,9 +17,11 @@ That running tail makes a full series cost one pass instead of a
 re-summation per target.  ``RecursionEvaluator.run_to`` is the one step
 loop (``next`` runs it one target on).  A step costs at most three capped
 sums, each a gather over the terms up to half the target (three for the
-general and subset formulas, two for even-odd, one for equal), so a
-series to N sums O(N * #terms <= N/2) entries of int32 tables of S(x),
-x = 0..limit; an evaluator builds its own, one per distinct sequence.
+general and subset formulas, two for even-odd, one for equal), plus at
+most one read of S(half) per sum, and no search: S(half) of a sum's term
+set is how many leading terms it takes.  A series to N thus sums
+O(N * #terms <= N/2) entries of int32 tables of S(x), x = 0..limit; an
+evaluator builds its own, one per distinct sequence.
 
 For the unordered kinds two shortcut step formulas exist: ``SUBSET`` when
 the first sequence is contained in the second, and ``EQUAL`` when both
@@ -106,13 +108,18 @@ def _prefix_table(seq: ParitySequence) -> np.ndarray:
 
 
 def _capped_sum(counts: np.ndarray, terms: np.ndarray, cap: int, x: int) -> int:
-    """Sum of counts[x - t] over the leading terms t <= cap."""
+    """Sum of counts[x - t] over the leading terms t <= cap.
+
+    The step formulas pass terms already cut at the cap, so the search for
+    the cut runs only when the last term passes it.
+    """
     if not 0 <= x < len(counts):
         # The reversed view below would clamp x and shift every index.
         raise LimitExceededError(f"argument {x} outside the count table 0..{len(counts) - 1}")
-    j = terms.searchsorted(cap, side="right")
+    if len(terms) and terms.item(-1) > cap:
+        terms = terms[:terms.searchsorted(cap, side="right")]
     # counts[x::-1][t] is counts[x - t], read without an index temporary.
-    return int(np.add.reduce(counts[x::-1][terms[:j]], dtype=np.int64))
+    return int(np.add.reduce(counts[x::-1][terms], dtype=np.int64))
 
 
 class RecursionEvaluator:
@@ -171,16 +178,16 @@ class RecursionEvaluator:
         self._b = self._a if same else b or (seq_b.terms, _prefix_table(seq_b))
         if kind is EvaluatorKind.EVEN_ODD:
             self.seq_w = self._w = None
-            self._functional = self._step_even_odd
+            self._step = self._step_even_odd
         elif formula is Formula.GENERAL:
             self.seq_w = seq_a if same else intersect(seq_a, seq_b)  # paired with itself: all shared
             self._w = self._a if same else (self.seq_w.terms, _prefix_table(self.seq_w))
-            self._functional = self._step_general
+            self._step = self._step_general
         else:
             # With seq_a contained in (or equal to) seq_b the shared part
             # is seq_a itself.
             self.seq_w, self._w = seq_a, self._a
-            self._functional = self._step_subset if formula is Formula.SUBSET else self._step_equal
+            self._step = self._step_subset if formula is Formula.SUBSET else self._step_equal
 
         first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1
         seed = int(seq_a.contains(first) and seq_b.contains(base - first))
@@ -208,18 +215,27 @@ class RecursionEvaluator:
             raise ValueError(f"x_max {x_max} is below the base argument {base}")
         if (x_max - base) % 2:
             raise ValueError(f"x_max {x_max} is off the argument lattice of {base}")
-        values, functional, limit = self.computed.values, self._functional, self.seq_a.limit
-        x = self.last_argument
-        while x < x_max:
-            x += 2
-            if x > limit:
-                raise LimitExceededError(
-                    f"argument {x} beyond the materialized limit {limit}"
-                )
-            value = functional(x) - self.tail_sum
-            values.append(value)
-            self.tail_sum += value
+        values, step, limit = self.computed.values, self._step, self.seq_a.limit
+        tail = self.tail_sum
+        try:
+            for x in range(self.last_argument + 2, min(x_max, limit) + 1, 2):
+                value = step(x) - tail
+                values.append(value)
+                tail += value
+        finally:
+            self.tail_sum = tail
+        if x_max > limit:
+            raise LimitExceededError(
+                f"argument {self.last_argument + 2} beyond the materialized limit {limit}"
+            )
         return self.computed
+
+    def _functional(self, x: int) -> int:
+        """The one-shot functional at x: the sum of the counts up to x."""
+        limit = self.seq_a.limit
+        if not 0 <= x <= limit:
+            raise LimitExceededError(f"argument {x} outside the tables 0..{limit}")
+        return self._step(x)
 
     def specialized_subset(self) -> "RecursionEvaluator":
         """Fresh evaluator using the contained-sequence shortcut formula."""
@@ -234,35 +250,38 @@ class RecursionEvaluator:
         )
 
     # Each step formula returns the one-shot count functional at x; run_to
-    # subtracts the running tail to get the count itself.
+    # subtracts the running tail to get the count itself.  A step reads
+    # S(half) once per term set it sums over: those counts enter its cross
+    # and shared-term terms and cut each term array to the terms <= half.
 
     def _step_general(self, x: int) -> int:
         (a, ca), (b, cb), (w, cw) = self._a, self._b, self._w
         half = x // 2
-        s_over_b = _capped_sum(ca, b, half, x)
-        s_over_a = _capped_sum(cb, a, half, x)
-        s_over_w = _capped_sum(cw, w, half, x)
-        cross = int(ca[half]) * int(cb[half])
-        n_w = int(cw[half])
-        return s_over_b + s_over_a - s_over_w - cross + n_w * (n_w + 1) // 2
+        n_a, n_b, n_w = ca.item(half), cb.item(half), cw.item(half)
+        s_over_b = _capped_sum(ca, b[:n_b], half, x)
+        s_over_a = _capped_sum(cb, a[:n_a], half, x)
+        s_over_w = _capped_sum(cw, w[:n_w], half, x)
+        return s_over_b + s_over_a - s_over_w - n_a * n_b + n_w * (n_w + 1) // 2
 
     def _step_subset(self, x: int) -> int:
         (a, ca), (b, cb) = self._a, self._b
         half = x // 2
-        s_over_b = _capped_sum(ca, b, half, x)
+        n_a, n_b = ca.item(half), cb.item(half)
+        a = a[:n_a]
+        s_over_b = _capped_sum(ca, b[:n_b], half, x)
         s_diff = _capped_sum(cb, a, half, x) - _capped_sum(ca, a, half, x)
-        n_a = int(ca[half])
-        return s_over_b + s_diff - n_a * int(cb[half]) + n_a * (n_a + 1) // 2
+        return s_over_b + s_diff - n_a * n_b + n_a * (n_a + 1) // 2
 
     def _step_equal(self, x: int) -> int:
         a, ca = self._a
         half = x // 2
-        n_a = int(ca[half])
-        return _capped_sum(ca, a, half, x) - n_a * (n_a - 1) // 2
+        n_a = ca.item(half)
+        return _capped_sum(ca, a[:n_a], half, x) - n_a * (n_a - 1) // 2
 
     def _step_even_odd(self, x: int) -> int:
         (a, ca), (b, cb) = self._a, self._b
         half = (x + 1) // 2
-        s_over_b = _capped_sum(ca, b, half, x)
-        s_over_a = _capped_sum(cb, a, half, x)
-        return s_over_b + s_over_a - int(ca[half]) * int(cb[half])
+        n_a, n_b = ca.item(half), cb.item(half)
+        s_over_b = _capped_sum(ca, b[:n_b], half, x)
+        s_over_a = _capped_sum(cb, a[:n_a], half, x)
+        return s_over_b + s_over_a - n_a * n_b

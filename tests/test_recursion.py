@@ -202,6 +202,53 @@ def test_capped_sum_refuses_x_past_the_table():
             _capped_sum(counts, terms, 5, x)
 
 
+def _summed_sets(ev):
+    """The term sets each step's capped sums run over, in call order."""
+    a, b, w = ev.seq_a, ev.seq_b, ev.seq_w
+    if ev.kind is EvaluatorKind.EVEN_ODD:
+        return [b, a]
+    return {Formula.GENERAL: [b, a, w], Formula.SUBSET: [b, a, a], Formula.EQUAL: [a]}[ev.formula]
+
+
+@pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
+def test_each_capped_sum_gets_exactly_the_terms_up_to_half(kind, formula, a, b, monkeypatch):
+    calls = []
+    kernel = recursion._capped_sum
+
+    def recording(counts, terms, cap, x):
+        calls.append((x, cap, np.array(terms)))
+        return kernel(counts, terms, cap, x)
+
+    monkeypatch.setattr(recursion, "_capped_sum", recording)
+    ev = RecursionEvaluator(kind, a, b, formula)
+    sets = _summed_sets(ev)
+    x_last = ev.computed.base + 2 * ((a.limit - ev.computed.base) // 2)
+    ev.run_to(x_last)
+    targets = list(ev.computed.arguments())[1:]
+    assert len(calls) == len(sets) * len(targets)
+    for i, x in enumerate(targets):
+        half = (x + 1) // 2
+        for (got_x, cap, terms), seq in zip(calls[i * len(sets):(i + 1) * len(sets)], sets):
+            assert (got_x, cap) == (x, half)
+            assert not len(terms) or terms[-1] <= cap, (x, cap)
+            want = seq.terms[:np.searchsorted(seq.terms, half, side="right")]
+            np.testing.assert_array_equal(terms, want, err_msg=f"x = {x}")
+
+
+@pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
+def test_functional_past_the_tables_raises(kind, formula, a, b):
+    ev = RecursionEvaluator(kind, a, b, formula)
+    base, limit = ev.computed.base, a.limit
+    inside = base + 2 * ((limit - base) // 2)
+    assert ev._functional(inside) == sum(ev.run_to(inside).values)
+    # half <= limit < x: the target itself is past the tables.
+    with pytest.raises(LimitExceededError):
+        ev._functional(inside + 2)
+    # half > limit: so is the midpoint each table is read at.
+    with pytest.raises(LimitExceededError):
+        ev._functional(base + 2 * (limit + 1))
+
+
 # --- constructor errors ----------------------------------------------------
 
 def test_parity_mismatch_rejected():
