@@ -10,13 +10,15 @@ script runs, in order:
 * one traced pair (`--trace 1 --seed 1`), for the recursion layer's
   run time, summed terms and time per summed term;
 * `python -m addrep.cli bench --problem P --n-max N` per problem, --runs
-  times per tree, alternating, for the recursion route's column; and a
-  check that both trees' recursion routes give the same counts.
+  times per tree, alternating, for the recursion route's column;
+* the sha256 of every built-in problem's recursion and engine counts at
+  --n-max in each tree, and a check that they are all the same.
 
-Writes one JSON record to --out.
+Appends one JSON record to the list of records in --out (a new file
+starts the list).
 
     python scripts/bench_recursion.py --tree parent=../parent --tree change=. \\
-        --out BENCH_recursion.json
+        --note "what the change tree changes" --out BENCH_recursion.json
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ METRICS = ("terms_per_s", "slowest_op_s", "peak_rss_mb", "setup_s")
 TRACED = ("recursion.run_s", "recursion.terms_summed", "recursion.ns_per_term_summed")
 COUNTS = ("import sys; from addrep.applications import PROBLEMS; "
           "sys.stdout.buffer.write(PROBLEMS[sys.argv[1]].counts(int(sys.argv[2]), "
-          "'recursion').tobytes())")
+          "sys.argv[3]).tobytes())")
+PROBLEMS = ("chen-odd-odd", "chen-total", "goldbach", "lemoine-levy", "two-squares",
+            "two-triangular")
 
 
 def perfbench(root: Path, seed: int, seconds: float, trace: int) -> dict:
@@ -73,6 +77,7 @@ def main() -> None:
                         default=["goldbach", "lemoine-levy", "two-triangular"])
     parser.add_argument("--n-max", type=int, default=20000)
     parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--note", default="", help="what the change tree changes")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     trees = [(name, Path(path).resolve())
@@ -109,31 +114,41 @@ def main() -> None:
                 col = csv[0].split(",").index("recursion_s")
                 columns[name].append({int(row.split(",")[0]): float(row.split(",")[col])
                                       for row in csv[1:]})
-        digests = {name: hashlib.sha256(addrep(root, "-c", COUNTS, problem,
-                                               str(args.n_max))).hexdigest()
-                   for name, root in trees}
         bench[problem] = {
             name: {
                 "recursion_s_at_n_max": spread([c[args.n_max] for c in columns[name]]),
                 "recursion_s_by_n_max_median": {
                     n: statistics.median(c[n] for c in columns[name]) for n in columns[name][0]
                 },
-                "recursion_counts_sha256": digests[name],
             }
             for name in names
         }
-        bench[problem]["identical"] = len(set(digests.values())) == 1
         print(json.dumps({problem: bench[problem]}), flush=True)
+
+    counts = {
+        problem: {
+            name: {route: hashlib.sha256(addrep(root, "-c", COUNTS, problem,
+                                                str(args.n_max), route)).hexdigest()
+                   for route in ("recursion", "engine")}
+            for name, root in trees
+        }
+        for problem in PROBLEMS
+    }
+    identical = all(len({d for tree in by_tree.values() for d in tree.values()}) == 1
+                    for by_tree in counts.values())
+    print(json.dumps({"counts_identical": identical}), flush=True)
 
     import numpy  # only now, so the child processes above never see it loaded
 
     record = {
+        "note": args.note,
         "what": "custom-general end to end through perfbench, alternating trees per pair; "
                 "one traced perfbench pair; `addrep bench` recursion column",
         "command": " ".join(["python scripts/bench_recursion.py",
                              *(f"--tree {name}=<checkout>" for name in names),
                              f"--pairs {args.pairs} --seconds {args.seconds:g}",
-                             f"--n-max {args.n_max} --runs {args.runs} --out {args.out}"]),
+                             f"--n-max {args.n_max} --runs {args.runs}",
+                             f"--note <note> --out {args.out}"]),
         "perfbench_command": "python3 perfbench/run.py --workload custom-general "
                              f"--seconds {args.seconds:g} --trace 0|1 --seed <i>",
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python "
@@ -143,9 +158,13 @@ def main() -> None:
         "end_to_end": end_to_end,
         "traced_seed_1": traced,
         "bench_recursion": bench,
+        "counts_sha256_at_n_max": counts,
+        "counts_identical": identical,
         "pairs": pairs,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    out = Path(args.out)
+    records = json.loads(out.read_text()) if out.exists() else []
+    out.write_text(json.dumps(records + [record], indent=1) + "\n")
 
 
 if __name__ == "__main__":

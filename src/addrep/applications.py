@@ -33,7 +33,7 @@ import numpy as np
 from . import convolution
 from .errors import LimitExceededError, ParityMismatchError
 from .oracle import brute_count_series
-from .recursion import _BASES, _PARITIES, CountSeries, EvaluatorKind, RecursionEvaluator
+from .recursion import _BASES, _PARITIES, CountSeries, EvaluatorKind, Formula, RecursionEvaluator
 from .sequences import (
     DEFAULT_TABLE_CAP,
     Parity,
@@ -188,7 +188,10 @@ class ProblemSpec:
                 b_terms = None if seq_b is seq_a else seq_b.terms
                 values = convolution.count_series(kind, x_max, seq_a.terms, b_terms)
             elif route == "recursion":
-                values = RecursionEvaluator(kind, seq_a, seq_b).run_to(x_max).values
+                # A part that pairs a sequence with itself takes the paper's
+                # equal-sequence formula: one capped sum per step, not three.
+                formula = Formula.EQUAL if seq_b is seq_a else Formula.GENERAL
+                values = RecursionEvaluator(kind, seq_a, seq_b, formula).run_to(x_max).values
             elif route == "oracle":
                 values = brute_count_series(
                     seq_a, seq_b, x_max,

@@ -368,6 +368,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ok = np.array_equal(values["recursion"], PROBLEMS["two-triangular"].counts(n))
             row.append("OK" if ok else "FAIL")
         print(",".join(row))
+        # Every route that ran must give the engine's counts.
+        engine = values["engine"]
+        differing = [route for route, got in values.items() if not np.array_equal(got, engine)]
+        for route in differing:
+            i = np.flatnonzero(values[route] != engine)[0]
+            k = spec.n_start + i
+            print(f"bench {spec.name} n_max={n}: {route} differs from engine first at "
+                  f"n={k} x={spec.x_of_n(k)} (engine {engine[i]} vs {route} {values[route][i]})",
+                  file=sys.stderr)
+        if differing:
+            return EXIT_MISMATCH
     return EXIT_OK
 
 

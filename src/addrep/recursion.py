@@ -20,8 +20,9 @@ sums, each a gather over the terms up to half the target (three for the
 general and subset formulas, two for even-odd, one for equal), plus at
 most one read of S(half) per sum, and no search: S(half) of a sum's term
 set is how many leading terms it takes.  A series to N thus sums
-O(N * #terms <= N/2) entries of int32 tables of S(x), x = 0..limit; an
-evaluator builds its own, one per distinct sequence.
+O(N * #terms <= N/2) entries of int64 tables of S(x), x = 0..limit (8 B
+per target per distinct sequence), each sum in the table's own dtype, so
+no gather is cast; an evaluator builds its own tables.
 
 For the unordered kinds two shortcut step formulas exist: ``SUBSET`` when
 the first sequence is contained in the second, and ``EQUAL`` when both
@@ -101,8 +102,11 @@ class CountSeries:
 
 
 def _prefix_table(seq: ParitySequence) -> np.ndarray:
-    """S(x) = #{terms <= x} for x = 0..seq.limit, summed in place as int32."""
-    table = np.zeros(seq.limit + 1, dtype=np.int32)
+    """S(x) = #{terms <= x} for x = 0..seq.limit, summed in place as int64.
+
+    8 B per target: ``_capped_sum`` then reduces its gathers without a cast.
+    """
+    table = np.zeros(seq.limit + 1, dtype=np.int64)
     table[seq.terms] = 1
     return np.cumsum(table, out=table)
 
@@ -111,7 +115,9 @@ def _capped_sum(counts: np.ndarray, terms: np.ndarray, cap: int, x: int) -> int:
     """Sum of counts[x - t] over the leading terms t <= cap.
 
     The step formulas pass terms already cut at the cap, so the search for
-    the cut runs only when the last term passes it.
+    the cut runs only when the last term passes it.  The gather is reduced
+    in the table's dtype: int64 tables need no cast, and numpy reduces
+    narrower integer tables in int64 by default, so the sum is exact.
     """
     if not 0 <= x < len(counts):
         # The reversed view below would clamp x and shift every index.
@@ -119,7 +125,7 @@ def _capped_sum(counts: np.ndarray, terms: np.ndarray, cap: int, x: int) -> int:
     if len(terms) and terms.item(-1) > cap:
         terms = terms[:terms.searchsorted(cap, side="right")]
     # counts[x::-1][t] is counts[x - t], read without an index temporary.
-    return int(np.add.reduce(counts[x::-1][terms], dtype=np.int64))
+    return int(np.add.reduce(counts[x::-1][terms]))
 
 
 class RecursionEvaluator:

@@ -43,7 +43,9 @@ from .errors import (
 # Tables larger than this raise ResourceBudgetError instead of thrashing memory.
 DEFAULT_TABLE_CAP = 50_000_000
 
-# The recursion's tables hold int32 counts over 0..limit, so limits stay below 2**31.
+# Limits stay below 2**31, so any count over 0..limit fits int32: a count table
+# may be stored as int32 where memory matters (the recursion builds int64 ones,
+# which it sums without a cast, and its kernel accepts int32 ones as well).
 COUNT_TABLE_LIMIT = 2**31
 
 # Terms are validated this many at a time (see _check_terms).

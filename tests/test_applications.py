@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from addrep import applications
+from addrep import applications, recursion
 from addrep.applications import PROBLEMS, custom_problem
 from addrep.errors import LimitExceededError, ParityMismatchError
-from addrep.recursion import EvaluatorKind
+from addrep.recursion import _BASES, EvaluatorKind
 from addrep.sequences import (
     Parity,
     ParitySequence,
     SequenceKind,
     build_sieve,
+    load_sequence,
     make_sequence,
 )
 from conftest import (
@@ -120,6 +121,62 @@ def test_recursion_equals_evaluator_and_oracle(name):
     assert fast == spec.compute(n_max).values
     assert fast == spec.counts(n_max, "recursion").tolist()
     assert fast == spec.counts(n_max, "oracle").tolist()
+
+
+def _record_capped_sums(monkeypatch):
+    """The target of every ``_capped_sum`` call, in call order."""
+    calls = []
+    kernel = recursion._capped_sum
+
+    def recording(counts, terms, cap, x):
+        calls.append(x)
+        return kernel(counts, terms, cap, x)
+
+    monkeypatch.setattr(recursion, "_capped_sum", recording)
+    return calls
+
+
+def _targets_per_part(spec, n_max, sums_per_step):
+    """Each part's targets past its base, one entry per capped sum."""
+    x_max = spec.x_of_n(n_max)
+    return [x for (kind, *_), k in zip(spec.parts, sums_per_step)
+            for x in range(_BASES[kind] + 2, x_max + 1, 2) for _ in range(k)]
+
+
+# A part that pairs a sequence with itself takes the equal formula (one
+# sum per step); Chen's parts pair distinct sequences (three), and the
+# even-odd parts two.
+@pytest.mark.parametrize("name, sums_per_step", [
+    ("goldbach", [1]),
+    ("two-triangular", [1]),
+    ("chen-odd-odd", [3]),
+    ("chen-total", [3, 3]),
+    ("lemoine-levy", [2]),
+    ("two-squares", [2]),
+])
+def test_recursion_route_sums_per_step(name, sums_per_step, monkeypatch):
+    spec = PROBLEMS[name]
+    calls = _record_capped_sums(monkeypatch)
+    spec.counts(40, "recursion")
+    assert calls == _targets_per_part(spec, 40, sums_per_step)
+
+
+def test_custom_pair_of_equal_files_keeps_the_general_formula(tmp_path, monkeypatch):
+    path = tmp_path / "odd.txt"
+    path.write_text("parity: odd\n" + "\n".join(str(t) for t in range(1, 100, 4)) + "\n")
+    seq_a, seq_b = load_sequence(path, limit=100), load_sequence(path, limit=100)
+    assert seq_a == seq_b
+    spec = custom_problem(seq_a, seq_b)
+    calls = _record_capped_sums(monkeypatch)
+    got = spec.counts(49, "recursion")
+    assert calls == _targets_per_part(spec, 49, [3])
+    assert got.tolist() == spec.counts(49).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_recursion_equals_engine_at_n_2000(name):
+    spec = PROBLEMS[name]
+    assert spec.counts(2000, "recursion").tolist() == spec.counts(2000).tolist()
 
 
 def test_custom_problem_rejects_mixed_parity():

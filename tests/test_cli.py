@@ -37,6 +37,21 @@ def _rig_oracle(monkeypatch, index):
     monkeypatch.setattr(applications, "brute_count_series", broken_oracle)
 
 
+def _rig_recursion(monkeypatch, index):
+    """Add 1 to entry ``index`` of every series the recursion route reads."""
+    import addrep.applications as applications
+    from addrep.recursion import CountSeries
+
+    class BrokenEvaluator(applications.RecursionEvaluator):
+        def run_to(self, x_max):
+            series = super().run_to(x_max)
+            values = list(series.values)
+            values[index] += 1
+            return CountSeries(series.base, values)
+
+    monkeypatch.setattr(applications, "RecursionEvaluator", BrokenEvaluator)
+
+
 # --- compute -----------------------------------------------------------------
 
 def test_compute_goldbach_bfile(tmp_path, capsys):
@@ -284,6 +299,20 @@ def test_bench_two_squares_bijection_column(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith(",bijection_check")
     assert all(line.endswith(",OK") for line in lines[1:])
+
+
+@pytest.mark.parametrize("route, rig", [("recursion", _rig_recursion),
+                                         ("oracle", _rig_oracle)])
+def test_bench_stops_at_the_first_row_where_a_route_differs(route, rig, monkeypatch,
+                                                            capsys):
+    rig(monkeypatch, 3)
+    assert main(["bench", "--problem", "goldbach", "--n-max", "40"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "n_max,engine_s,recursion_s,oracle_s"
+    assert len(lines) == 2 and lines[1].startswith("10,")
+    assert captured.err == (f"bench goldbach n_max=10: {route} differs from engine first "
+                            f"at n=4 x=8 (engine 1 vs {route} 2)\n")
 
 
 def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):

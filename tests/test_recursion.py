@@ -202,6 +202,21 @@ def test_capped_sum_refuses_x_past_the_table():
             _capped_sum(counts, terms, 5, x)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_capped_sum_past_2_to_31_is_exact(dtype):
+    counts = np.full(11, 2**31 - 1, dtype=dtype)
+    terms = np.arange(0, 11, 2)  # six terms, each reading 2^31 - 1
+    assert _capped_sum(counts, terms, 10, 10) == 6 * (2**31 - 1)
+    assert _capped_sum(counts, terms, 5, 10) == 3 * (2**31 - 1)
+
+
+def test_prefix_table_is_int64():
+    seq = make_sequence(SequenceKind.ODD_PRIMES, 100)
+    table = recursion._prefix_table(seq)
+    assert table.dtype == np.int64
+    assert table.tolist() == [seq.counting(x) for x in range(101)]
+
+
 def _summed_sets(ev):
     """The term sets each step's capped sums run over, in call order."""
     a, b, w = ev.seq_a, ev.seq_b, ev.seq_w
