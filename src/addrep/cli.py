@@ -354,7 +354,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # plans, first allocations) stays out of the first row.
     for route in routes:
         if not skipped(route, steps[0]):
-            spec.counts(steps[0], route)
+            spec.counts(steps[0], route, spec.sieve(steps[0], args.limit))
     for n in steps:
         row, values = [str(n)], {}
         for route in routes:
@@ -362,7 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 row.append("")
                 continue
             t0 = time.perf_counter()
-            values[route] = spec.counts(n, route)
+            values[route] = spec.counts(n, route, spec.sieve(n, args.limit))
             row.append(f"{time.perf_counter() - t0:.6f}")
         if lemma_column:
             ok = np.array_equal(values["recursion"], PROBLEMS["two-triangular"].counts(n))

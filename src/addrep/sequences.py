@@ -8,7 +8,10 @@ gaps of each block of terms.  The built-in kinds cover everything the
 bundled counting problems need (odd primes, primes together with odd
 semiprimes, all primes, doubled primes, odd and even squares, pronic
 numbers, the full parity classes); arbitrary sequences can be passed as
-explicit term lists or arrays, or loaded from a small text format.
+explicit term lists or arrays, or loaded from a small text format.  A file
+whose body is plain, one term of 1 to 18 ASCII digits per ``\n``-ended
+line, is parsed as fixed-width digit blocks of its bytes; every other
+accepted form goes through numpy's text parser, with the same errors.
 
 SieveTables holds the sorted primes up to its limit and answers the
 prime counting function pi(x) by binary search; semiprime counting
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -54,6 +58,11 @@ _CHECK_BLOCK = 1 << 16
 # A block whose int64 gaps all lie below this bound sums them to less than
 # 2**63, so with its last term at or above its first none of them wrapped.
 _GAP_BOUND = 2**63 // _CHECK_BLOCK
+
+# A plain sequence file is parsed this many bytes at a time, and its lines
+# hold at most this many digits, which any int64 holds (see _plain_terms).
+_PARSE_BLOCK = 1 << 18
+_PLAIN_DIGITS = 18
 
 # The sieve clears this many flags (512 kB) at a time, a block that stays in
 # a core's L2 cache (see _odd_prime_flags).
@@ -505,6 +514,13 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     dropped once every term of the file has passed the order and parity
     checks; otherwise the limit is the largest term (0 when no term is
     positive).
+
+    A plain body, every line after the header 1 to 18 ASCII digits ending
+    in ``\n``, is parsed in blocks straight from the file's bytes (see
+    _plain_terms).  Any other body (comments, blank lines, spaces or tabs,
+    CR, signs, 19 or more digits, no final newline) is read by
+    ``np.loadtxt`` as before; both give the same terms, and the same error
+    for a bad line.
     """
     path = Path(path)
     with path.open() as fh:
@@ -522,17 +538,9 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
         value = value.strip().lower()
         if value not in ("odd", "even"):
             raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
-    # Given the path rather than the open handle, numpy parses the file in C;
-    # it skips the same text-mode lines the header scan read.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a file with no terms
-        try:
-            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, skiprows=lineno)
-        except ValueError:
-            rows = None
-    if rows is None or rows.shape[1] != 1:
-        raise _bad_term_line(path, lineno)
-    terms = rows.ravel()
+    terms = _plain_terms(path, lineno)
+    if terms is None:
+        terms = _loadtxt_terms(path, lineno)
     parity = Parity(value)
     if limit is None:
         limit = max(int(terms.max()), 0) if terms.size else 0
@@ -545,13 +553,103 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     return ParitySequence(terms, parity, limit)
 
 
+def _plain_terms(path: Path, header_lineno: int) -> np.ndarray | None:
+    """The terms of a plain body, or None when the body is in any other form.
+
+    The body is what follows the header line, and the lines up to it must
+    hold no CR.  It is plain when every line is 1 to _PLAIN_DIGITS ASCII
+    digits ending in ``\n``.  Consecutive lines of one width w make a run,
+    an (m, w + 1) uint8 view of the file's bytes; sorted terms without
+    leading zeros make at most _PLAIN_DIGITS runs, and a body with more
+    takes the general parser.  A run is read a block of about _PARSE_BLOCK
+    bytes at a time: its bytes less ord("0") go into one reused scratch
+    buffer, with each row's last value set to 0 once its byte is checked
+    to be a newline.  The block's rows count up to its first row without
+    its newline or with a value of 10 or more, and the digit columns of
+    those rows are summed by Horner's rule straight into the result.  A
+    bad row ends the run and starts the next one.
+    """
+    data = path.read_bytes()
+    start = 0
+    for _ in range(header_lineno):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return None
+    if data.find(b"\r", 0, start) >= 0:
+        return None  # text mode split the header's lines at CR as well
+    body = np.frombuffer(data, dtype=np.uint8)
+    scratch = np.empty(_PARSE_BLOCK, dtype=np.uint8)
+    flags = scratch.view(bool)
+    newlines = 0
+    for lo in range(start, len(data), _PARSE_BLOCK):
+        chunk = body[lo : lo + _PARSE_BLOCK]
+        newlines += np.count_nonzero(np.equal(chunk, 10, out=flags[: len(chunk)]))
+    terms = np.empty(newlines, dtype=np.int64)
+    pos, row = start, 0
+    for _ in range(_PLAIN_DIGITS):
+        if pos == len(data):
+            return terms
+        width = data.find(b"\n", pos) - pos  # negative when no newline is left
+        if not 0 < width <= _PLAIN_DIGITS:
+            return None
+        per_block = _PARSE_BLOCK // (width + 1)
+        run_start = row
+        while pos < len(data):
+            m = min(per_block, (len(data) - pos) // (width + 1))
+            if not m:
+                break
+            lines = body[pos : pos + m * (width + 1)]
+            values = np.subtract(lines, 48, out=scratch[: len(lines)]).reshape(m, width + 1)
+            ends = _first(lines.reshape(m, width + 1)[:, width] != 10)
+            values[:, width] = 0
+            sound = min(ends, _first(values.ravel() >= 10) // (width + 1))
+            out = terms[row : row + sound]
+            np.copyto(out, values[:sound, 0])
+            for column in range(1, width):
+                out *= 10
+                out += values[:sound, column]
+            row += sound
+            pos += sound * (width + 1)
+            if sound < m:
+                break
+        if row == run_start:
+            return None
+    return terms if pos == len(data) else None
+
+
+def _first(flags: np.ndarray) -> int:
+    """The index of the first True in ``flags``, or its length when none is."""
+    i = int(flags.argmax())
+    return i if flags[i] else len(flags)
+
+
+def _loadtxt_terms(path: Path, header_lineno: int) -> np.ndarray:
+    """The terms of any body by numpy's text parser; raises for a bad line."""
+    # Given the path rather than the open handle, numpy parses the file in C;
+    # it skips the same text-mode lines the header scan read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no terms
+        try:
+            rows = np.loadtxt(
+                path, dtype=np.int64, comments="#", ndmin=2, skiprows=header_lineno
+            )
+        except ValueError:
+            rows = None
+    if rows is None or rows.shape[1] != 1:
+        raise _bad_term_line(path, header_lineno)
+    return rows.ravel()
+
+
 def _bad_term_line(path: Path, header_lineno: int) -> SequenceFormatError:
-    """The error naming the first line after the header that is not one integer."""
-    lines = path.read_text().splitlines()[header_lineno:]
+    """The error naming the first line after the header that is not one integer.
+
+    A line is judged as numpy's parser reads it: after its comment and the
+    whitespace around it are stripped, it must be empty or an optional
+    sign and ASCII digits.  Lines end where text mode ends them.
+    """
+    lines = path.read_text().split("\n")[header_lineno:]
     for lineno, raw in enumerate(lines, header_lineno + 1):
         line = raw.partition("#")[0].strip()
-        try:
-            int(line or 0)
-        except ValueError:
+        if line and not re.fullmatch(r"[+-]?[0-9]+", line):
             return SequenceFormatError(f"{path}:{lineno}: not an integer: {line!r}")
     return SequenceFormatError(f"{path}: expected one int64 integer per line")

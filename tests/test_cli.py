@@ -178,6 +178,43 @@ def test_custom_even_odd_roles_swap(tmp_path, capsys):
     assert data[-1] == "5 3"  # 0+5, 2+3, 4+1
 
 
+@pytest.mark.parametrize("parities", [("odd", "odd"), ("even", "odd")])
+def test_custom_output_is_the_same_from_plain_and_decorated_files(tmp_path, monkeypatch,
+                                                                  parities):
+    import random
+
+    import addrep.sequences as sequences
+
+    rng = random.Random(7)
+    terms = {role: [t for t in range(parity == "odd", 3000, 2) if rng.random() < 0.5]
+             for role, parity in zip("ab", parities)}
+    loadtxt_terms = sequences._loadtxt_terms
+    loads = []
+
+    def spy(path, header_lineno):
+        loads.append(path.resolve().parent.name)
+        return loadtxt_terms(path, header_lineno)
+
+    monkeypatch.setattr(sequences, "_loadtxt_terms", spy)
+    outputs = {}
+    for style in ("plain", "decorated"):
+        folder = tmp_path / style
+        folder.mkdir()
+        for role, parity in zip("ab", parities):
+            lines = [f"parity: {parity}"] + [str(t) for t in terms[role]]
+            if style == "plain":
+                (folder / f"{role}.txt").write_text("\n".join(lines) + "\n")
+            else:
+                lines[2:2] = ["# made by hand", ""]
+                (folder / f"{role}.txt").write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        monkeypatch.chdir(folder)
+        assert main(["compute", "--problem", "custom", "--seq-a", "a.txt", "--seq-b",
+                     "b.txt", "--x-max", "3000", "--out", "out.txt"]) == EXIT_OK
+        outputs[style] = (folder / "out.txt").read_bytes()
+    assert outputs["plain"] == outputs["decorated"]
+    assert loads == ["decorated", "decorated"]  # plain files take the block parser
+
+
 @pytest.mark.parametrize("command", ["compute", "verify"])
 @pytest.mark.parametrize("first, x_max, base", [
     ("parity: even\n0\n", 0, 1),  # even-odd targets start at 1
@@ -340,6 +377,24 @@ def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):
         calls = [i for i, event in enumerate(events) if event == route]
         timed = [k for k, i in enumerate(calls) if events[i - 1] == "clock"]
         assert timed[0] == 1, route
+
+
+def test_bench_builds_its_sieves_under_the_limit(monkeypatch, capsys):
+    import addrep.applications as applications
+    import addrep.sequences as sequences
+
+    build_sieve = sequences.build_sieve
+    caps = []
+
+    def spy(limit, cap=sequences.DEFAULT_TABLE_CAP):
+        caps.append(cap)
+        return build_sieve(limit, cap)
+
+    monkeypatch.setattr(applications, "build_sieve", spy)
+    monkeypatch.setattr(sequences, "build_sieve", spy)
+    code = main(["bench", "--problem", "goldbach", "--n-max", "40", "--limit", "100"])
+    assert code == EXIT_OK
+    assert caps and set(caps) == {100}
 
 
 def test_closed_stdout_ends_quietly():

@@ -2,14 +2,16 @@ import bisect
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addrep import sequences
 from addrep.errors import (
+    AddrepError,
     LimitExceededError,
     LimitMismatchError,
     ParityMismatchError,
@@ -646,13 +648,101 @@ def test_load_sequence_errors(tmp_path):
         load_sequence(empty)
 
 
-@pytest.mark.parametrize("line", ["x", "5 7", "1.5", "99999999999999999999"])
+@pytest.mark.parametrize(
+    "line", ["x", "5 7", "1.5", "99999999999999999999", "1_001", "\u0663", "5\x0c7"]
+)
 def test_load_sequence_names_the_bad_line(tmp_path, line):
     path = tmp_path / "f.txt"
     path.write_text(f"# comment\nparity: odd\n1\n\n{line}\n9\n")
     message = r"f\.txt: expected one int64" if line.startswith("9") else r"f\.txt:5: "
     with pytest.raises(SequenceFormatError, match=message):
         load_sequence(path)
+
+
+def _load_outcome(path, limit=None):
+    """load_sequence's terms, parity and limit, or its error's type and text."""
+    try:
+        seq = load_sequence(path, limit=limit)
+    except (AddrepError, ValueError, MemoryError) as exc:
+        return type(exc), str(exc)
+    return seq.terms.tolist(), seq.parity, seq.limit
+
+
+def _loadtxt_outcome(path, limit=None):
+    """The same load with every body read by numpy's text parser."""
+    with mock.patch.object(sequences, "_plain_terms", return_value=None):
+        return _load_outcome(path, limit)
+
+
+# Sorted terms of every width from 1 to 19 digits, the last 2**63 - 1.
+_EVERY_WIDTH = "".join(f"{int('1' * w)}\n" for w in range(1, 19)) + f"{2**63 - 1}\n"
+
+
+@pytest.mark.parametrize("limit", [None, 11_111])
+@pytest.mark.parametrize(
+    "body",
+    [_EVERY_WIDTH, "1\n3\n11\n", "001\n003\n0011\n", "1\n3", "1\r\n3\r\n",
+     "1\n# three\n3\n", "1\n\n3\n", "+1\n3\n", "-1\n3\n", "1\n\t3\n", "3\n1\n",
+     "1\n2\n", "1\n30\n5\n", "", "\n", "1\nx\n"],
+)
+def test_block_parser_matches_loadtxt_on_each_form(tmp_path, body, limit):
+    path = tmp_path / "f.txt"
+    path.write_bytes(f"parity: odd\n{body}".encode())
+    assert _load_outcome(path, limit) == _loadtxt_outcome(path, limit)
+
+
+@st.composite
+def _sequence_files(draw):
+    parity = draw(st.sampled_from(["odd", "even"]))
+    if draw(st.booleans()):  # sorted terms of the declared parity: loads that succeed
+        halves = draw(st.sets(st.integers(0, 18).flatmap(lambda e: st.integers(0, 10**e))))
+        lines = [str(2 * t + (parity == "odd")) for t in sorted(halves)]
+    else:
+        line = st.integers(1, 19).flatmap(lambda w: st.text("0123456789", min_size=w, max_size=w))
+        lines = draw(st.lists(line, max_size=30))
+    head = draw(st.sampled_from(["", "# made by hand\n", "# made by hand\r"]))
+    if draw(st.booleans()):  # a plain body
+        return f"{head}parity: {parity}\n" + "".join(line + "\n" for line in lines)
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.sampled_from(["", "# note", "5 # five", "+7", "-3", "\t9", " 11 "]))
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    head = draw(st.sampled_from([head, "# made by hand\r\n"]))
+    tail = draw(st.sampled_from([eol, ""]))
+    return f"{head}parity: {parity}{eol}" + eol.join(lines) + tail
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_sequence_files(), st.one_of(st.none(), st.integers(0, 2**31 - 1)))
+def test_block_parser_matches_loadtxt(tmp_path, text, limit):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode())
+    assert _load_outcome(path, limit) == _loadtxt_outcome(path, limit)
+
+
+def test_plain_bodies_take_the_block_parser(tmp_path, monkeypatch):
+    path = tmp_path / "f.txt"
+    path.write_text("# made by hand\nparity: odd\n" + _EVERY_WIDTH.replace(f"{2**63 - 1}\n", ""))
+    monkeypatch.setattr(sequences, "_loadtxt_terms", None)
+    seq = load_sequence(path, limit=10**9)
+    assert seq.terms.tolist() == [int("1" * w) for w in range(1, 10)]
+
+
+def test_plain_load_holds_no_full_size_temporaries(tmp_path):
+    terms = np.arange(1, 2 * 10**6, 2)
+    path = tmp_path / "f.txt"
+    path.write_text("parity: odd\n" + "\n".join(map(str, terms.tolist())) + "\n")
+    tracemalloc.start()
+    try:
+        seq = load_sequence(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(seq.terms, terms)
+    # The file's bytes (7.9 MB), the int64 terms (8 MB) and block-sized
+    # scratch; a bool or uint8 temporary over every term would add 1 MB.
+    assert peak < path.stat().st_size + terms.nbytes + 3 * sequences._PARSE_BLOCK
 
 
 def test_load_sequence_comments_blanks_and_crlf(tmp_path):
