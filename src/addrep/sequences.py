@@ -645,11 +645,19 @@ def _bad_term_line(path: Path, header_lineno: int) -> SequenceFormatError:
 
     A line is judged as numpy's parser reads it: after its comment and the
     whitespace around it are stripped, it must be empty or an optional
-    sign and ASCII digits.  Lines end where text mode ends them.
+    sign and ASCII digits, of a value in int64's range.  Lines end where
+    text mode ends them.
     """
     lines = path.read_text().split("\n")[header_lineno:]
     for lineno, raw in enumerate(lines, header_lineno + 1):
         line = raw.partition("#")[0].strip()
-        if line and not re.fullmatch(r"[+-]?[0-9]+", line):
+        if not line:
+            continue
+        if not re.fullmatch(r"[+-]?[0-9]+", line):
             return SequenceFormatError(f"{path}:{lineno}: not an integer: {line!r}")
+        # The magnitude's length first: int() refuses very long digit strings.
+        magnitude = line.lstrip("+-").lstrip("0") or "0"
+        bound = 2**63 + 1 if line[0] == "-" else 2**63
+        if len(magnitude) > 19 or int(magnitude) >= bound:
+            return SequenceFormatError(f"{path}:{lineno}: beyond int64: {line!r}")
     return SequenceFormatError(f"{path}: expected one int64 integer per line")

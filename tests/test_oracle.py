@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addrep import oracle
 from addrep.applications import PROBLEMS
 from addrep.errors import LimitExceededError
 from addrep.oracle import (
@@ -151,9 +153,44 @@ def test_brute_series_equals_brute_count_on_oracle_pairs(problem, part):
     _assert_series_is_per_target(a, b, x_max, kind is EvaluatorKind.EVEN_ODD, base)
 
 
+@st.composite
+def _series_cases(draw):
+    """A pair of sequences of any parities, with a base, a role and an x_max.
+
+    Terms reach past x_max up to the limit; even and mixed sequences may
+    hold 0, and any sequence may be empty.
+    """
+    base = draw(st.sampled_from([0, 1, 2]))
+    limit = draw(st.integers(base, 70))
+    x_max = base + 2 * draw(st.integers(0, (limit - base) // 2))
+
+    def sequence():
+        parity = draw(st.sampled_from(list(Parity)))
+        allowed = [
+            t for t in range(limit + 1)
+            if parity is Parity.MIXED or t % 2 == (parity is Parity.ODD)
+        ]
+        terms = draw(st.sets(st.sampled_from(allowed))) if allowed else set()
+        return ParitySequence(sorted(terms), parity, limit)
+
+    return sequence(), sequence(), x_max, draw(st.booleans()), base
+
+
+@pytest.mark.parametrize("cells", [1, 7, oracle._BLOCK_CELLS])
+@settings(max_examples=150, deadline=None)
+@given(case=_series_cases())
+def test_brute_series_equals_brute_count_at_every_block_shape(cells, case):
+    # One cell per block leaves one row, and so one cap, per block: the band
+    # is empty.  Seven cells give blocks of a few rows whose band holds some
+    # candidates or none; the default takes every row in one block here.
+    a, b, x_max, role_tagged, base = case
+    with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
+        _assert_series_is_per_target(a, b, x_max, role_tagged, base)
+
+
 def test_brute_series_working_set_is_bounded():
     # A grid of every target against every candidate would take about
-    # 27 MB here; the blocked enumeration stays near 0.5 MB.
+    # 27 MB here; the blocked enumeration stays near 0.6 MB.
     seq = make_sequence(SequenceKind.ODD_PRIMES, 20_000)
     tracemalloc.start()
     try:

@@ -649,14 +649,33 @@ def test_load_sequence_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["x", "5 7", "1.5", "99999999999999999999", "1_001", "\u0663", "5\x0c7"]
+    "line",
+    ["x", "5 7", "1.5", "99999999999999999999", "1_001", "\u0663", "5\x0c7",
+     "9223372036854775808", "-9223372036854775809"],
 )
 def test_load_sequence_names_the_bad_line(tmp_path, line):
     path = tmp_path / "f.txt"
     path.write_text(f"# comment\nparity: odd\n1\n\n{line}\n9\n")
-    message = r"f\.txt: expected one int64" if line.startswith("9") else r"f\.txt:5: "
-    with pytest.raises(SequenceFormatError, match=message):
+    with pytest.raises(SequenceFormatError, match=r"f\.txt:5: "):
         load_sequence(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("9223372036854775807", "strictly increasing, got 9 after 9223372036854775807"),
+     ("-9223372036854775808", "negative term -9223372036854775808"),
+     ("0" * 5000 + "3", "strictly increasing, got 3 after 3")],
+)
+def test_load_sequence_reads_terms_at_the_int64_bounds(tmp_path, line, message):
+    # These lines parse; their files then fail the order or sign check, and
+    # with a bad line after them, that line is the one named.
+    path = tmp_path / "f.txt"
+    path.write_text(f"# comment\nparity: odd\n3\n\n{line}\n9\n")
+    with pytest.raises(SequenceFormatError, match=message):
+        load_sequence(path, limit=100)
+    path.write_text(f"# comment\nparity: odd\n3\n\n{line}\n9\nx\n")
+    with pytest.raises(SequenceFormatError, match=r"f\.txt:7: not an integer"):
+        load_sequence(path, limit=100)
 
 
 def _load_outcome(path, limit=None):
