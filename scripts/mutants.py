@@ -111,6 +111,18 @@ MUTANTS = (
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
+        "convolution: subset route never taken", "src/addrep/convolution.py",
+        "subset = in_b.all() if subset is None else subset",
+        "subset = False if subset is None else subset",
+        ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
+    ),
+    Mutant(
+        "convolution: delta cut one target short", "src/addrep/convolution.py",
+        "counts[at[at < size]] += 1",
+        "counts[at[at < size - 1]] += 1",
+        ("tests/test_convolution.py::test_shared_term_on_the_last_target",),
+    ),
+    Mutant(
         "recursion: capped sum cut one term short", "src/addrep/recursion.py",
         'searchsorted(cap, side="right")',
         'searchsorted(cap, side="left")',

@@ -27,11 +27,10 @@ from .errors import (
     LimitExceededError,
     LimitMismatchError,
     ParityMismatchError,
-    ResourceBudgetError,
     SequenceFormatError,
 )
 from .recursion import EvaluatorKind
-from .sequences import DEFAULT_TABLE_CAP, load_sequence
+from .sequences import DEFAULT_TABLE_CAP, check_table_budget, load_sequence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -102,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_table_budget(needed: int, cap: int) -> None:
-    if needed > cap:
-        raise ResourceBudgetError(
-            f"run needs tables up to {needed}, above the --limit cap {cap}"
-        )
-
-
 class Resolved(NamedTuple):
     """A ``--problem`` made concrete: its spec, last index n, route and row labels."""
 
@@ -134,7 +126,7 @@ def _problem(
             raise CliUsageError("--n-max does not apply to custom runs (use --x-max)")
         if not (args.seq_a and args.seq_b and args.x_max is not None and args.x_max >= 0):
             raise CliUsageError("custom runs need --seq-a, --seq-b and --x-max >= 0")
-        _check_table_budget(args.x_max, args.limit)
+        check_table_budget(args.x_max, args.limit)
         spec = custom_problem(
             load_sequence(args.seq_a, limit=args.x_max),
             load_sequence(args.seq_b, limit=args.x_max),
@@ -178,7 +170,7 @@ def _problem(
     x_last = spec.x_of_n(n_max)
     if x_cap is not None and x_last > x_cap:
         raise CliUsageError(f"x {x_last} beyond --oracle-cap {x_cap}")
-    _check_table_budget(x_last, args.limit)
+    check_table_budget(x_last, args.limit)
     return run
 
 

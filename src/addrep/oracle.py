@@ -145,7 +145,7 @@ def brute_count_series(
         hit = cells.astype(bool)
         # Every row takes the candidates up to the block's first cap.
         hit[:, shared:] &= pool[shared:width] <= caps[start:stop, None]
-        values.extend(np.add.reduce(hit, axis=1, dtype=np.int32).tolist())
+        values.extend(np.add.reduce(hit, axis=1, dtype=np.int64).tolist())
     return CountSeries(base, values)
 
 

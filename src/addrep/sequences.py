@@ -44,13 +44,9 @@ from .errors import (
     SequenceFormatError,
 )
 
-# Tables larger than this raise ResourceBudgetError instead of thrashing memory.
+# The default of the one table limit, the CLI's --limit (see check_table_budget).
+# Sequences store only their terms, so they take any limit.
 DEFAULT_TABLE_CAP = 50_000_000
-
-# Limits stay below 2**31, so any count over 0..limit fits int32: a count table
-# may be stored as int32 where memory matters (the recursion builds int64 ones,
-# which it sums without a cast, and its kernel accepts int32 ones as well).
-COUNT_TABLE_LIMIT = 2**31
 
 # Terms are validated this many at a time (see _check_terms).
 _CHECK_BLOCK = 1 << 16
@@ -59,8 +55,9 @@ _CHECK_BLOCK = 1 << 16
 # 2**63, so with its last term at or above its first none of them wrapped.
 _GAP_BOUND = 2**63 // _CHECK_BLOCK
 
-# A plain sequence file is parsed this many bytes at a time, and its lines
-# hold at most this many digits, which any int64 holds (see _plain_terms).
+# A plain sequence file is read this many bytes at a time, at least one whole
+# line, and its lines hold at most this many digits, which any int64 holds
+# (see _plain_terms).
 _PARSE_BLOCK = 1 << 18
 _PLAIN_DIGITS = 18
 
@@ -111,7 +108,8 @@ class ParitySequence:
     __slots__ = ("terms", "parity", "limit")
 
     def __init__(self, terms, parity: Parity, limit: int):
-        _check_table_limit(limit)
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
         terms = _term_array(terms)
         _check_terms(terms, parity, limit)
         self.terms = terms.astype(np.int64, copy=False).view()
@@ -168,12 +166,16 @@ class ParitySequence:
         )
 
 
-def _check_table_limit(limit: int) -> None:
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if limit >= COUNT_TABLE_LIMIT:
+def check_table_budget(needed: int, cap: int) -> None:
+    """Raise ResourceBudgetError when tables up to ``needed`` pass ``cap``.
+
+    The one table budget, checked before anything is allocated: by
+    build_sieve for its limit, and by the CLI under ``--limit`` for each
+    run's last target (a custom pair's before either file is read).
+    """
+    if needed > cap:
         raise ResourceBudgetError(
-            f"limit {limit} does not fit int32 count tables (< {COUNT_TABLE_LIMIT})"
+            f"run needs tables up to {needed}, above the --limit cap {cap}"
         )
 
 
@@ -267,9 +269,9 @@ def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
     all, and are dropped once the primes are listed (see _odd_prime_flags).
     The flag of 1, which is no prime, stands in for 2.
     """
-    if limit > cap:
-        raise ResourceBudgetError(f"sieve limit {limit} exceeds the cap {cap}")
-    _check_table_limit(limit)
+    check_table_budget(limit, cap)
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
     flags = _odd_prime_flags(limit)
     flags[:1] = limit >= 2
     primes = _flagged_odd_numbers(flags)
@@ -558,63 +560,65 @@ def _plain_terms(path: Path, header_lineno: int) -> np.ndarray | None:
 
     The body is what follows the header line, and the lines up to it must
     hold no CR.  It is plain when every line is 1 to _PLAIN_DIGITS ASCII
-    digits ending in ``\n``.  Consecutive lines of one width w make a run,
-    an (m, w + 1) uint8 view of the file's bytes; sorted terms without
-    leading zeros make at most _PLAIN_DIGITS runs, and a body with more
-    takes the general parser.  A run is read a block of about _PARSE_BLOCK
-    bytes at a time: its bytes less ord("0") go into one reused scratch
-    buffer, with each row's last value set to 0 once its byte is checked
-    to be a newline.  The block's rows count up to its first row without
-    its newline or with a value of 10 or more, and the digit columns of
-    those rows are summed by Horner's rule straight into the result.  A
-    bad row ends the run and starts the next one.
+    digits ending in ``\n``.  The body is read twice into one reused buffer
+    of _PARSE_BLOCK bytes: once to count its newlines, which sizes
+    the result, and once to parse it.  Consecutive lines of one width w make
+    a run, an (m, w + 1) uint8 view of the buffer; sorted terms without
+    leading zeros make at most _PLAIN_DIGITS runs in a block, and a block
+    with more sends the body to the general parser.  A run's bytes less
+    ord("0") go into one reused scratch buffer, with each row's last value
+    set to 0 once its byte is checked to be a newline.  The rows count up to
+    the first one without its newline or with a value of 10 or more, and
+    their digit columns are summed by Horner's rule straight into the
+    result.  A bad row ends the run and starts the next one.  The part of a
+    line left at a block's end moves to the buffer's front, and the next
+    block is read after it.
     """
-    data = path.read_bytes()
-    start = 0
-    for _ in range(header_lineno):
-        start = data.find(b"\n", start) + 1
-        if not start:
-            return None
-    if data.find(b"\r", 0, start) >= 0:
-        return None  # text mode split the header's lines at CR as well
-    body = np.frombuffer(data, dtype=np.uint8)
-    scratch = np.empty(_PARSE_BLOCK, dtype=np.uint8)
-    flags = scratch.view(bool)
-    newlines = 0
-    for lo in range(start, len(data), _PARSE_BLOCK):
-        chunk = body[lo : lo + _PARSE_BLOCK]
-        newlines += np.count_nonzero(np.equal(chunk, 10, out=flags[: len(chunk)]))
-    terms = np.empty(newlines, dtype=np.int64)
-    pos, row = start, 0
-    for _ in range(_PLAIN_DIGITS):
-        if pos == len(data):
-            return terms
-        width = data.find(b"\n", pos) - pos  # negative when no newline is left
-        if not 0 < width <= _PLAIN_DIGITS:
-            return None
-        per_block = _PARSE_BLOCK // (width + 1)
-        run_start = row
-        while pos < len(data):
-            m = min(per_block, (len(data) - pos) // (width + 1))
-            if not m:
-                break
-            lines = body[pos : pos + m * (width + 1)]
-            values = np.subtract(lines, 48, out=scratch[: len(lines)]).reshape(m, width + 1)
-            ends = _first(lines.reshape(m, width + 1)[:, width] != 10)
-            values[:, width] = 0
-            sound = min(ends, _first(values.ravel() >= 10) // (width + 1))
-            out = terms[row : row + sound]
-            np.copyto(out, values[:sound, 0])
-            for column in range(1, width):
-                out *= 10
-                out += values[:sound, column]
-            row += sound
-            pos += sound * (width + 1)
-            if sound < m:
-                break
-        if row == run_start:
-            return None
-    return terms if pos == len(data) else None
+    with path.open("rb") as fh:
+        for _ in range(header_lineno):
+            line = fh.readline()
+            if not line.endswith(b"\n") or b"\r" in line:
+                return None  # text mode split the header's lines at CR as well
+        start = fh.tell()
+        buf = bytearray(_PARSE_BLOCK)
+        data = np.frombuffer(buf, dtype=np.uint8)
+        scratch = np.empty(_PARSE_BLOCK, dtype=np.uint8)
+        newlines = 0
+        while size := fh.readinto(buf):
+            newlines += np.count_nonzero(np.equal(data[:size], 10, out=scratch[:size].view(bool)))
+        terms = np.empty(newlines, dtype=np.int64)
+        fh.seek(start)
+        held = row = 0  # bytes of a part line at the front of the buffer; terms parsed
+        while True:
+            size = fh.readinto(memoryview(buf)[held:])
+            end, pos = held + size, 0
+            for _ in range(_PLAIN_DIGITS + 1):  # the last pass finds no whole line
+                width = buf.find(b"\n", pos, end) - pos  # negative when none is left
+                if width < 0:
+                    break
+                if not 0 < width <= _PLAIN_DIGITS:
+                    return None
+                m = (end - pos) // (width + 1)
+                lines = data[pos : pos + m * (width + 1)].reshape(m, width + 1)
+                values = np.subtract(lines, 48, out=scratch[: lines.size].reshape(lines.shape))
+                ends = _first(lines[:, width] != 10)
+                values[:, width] = 0
+                sound = min(ends, _first(values.ravel() >= 10) // (width + 1))
+                if not sound:
+                    return None
+                out = terms[row : row + sound]
+                np.copyto(out, values[:sound, 0])
+                for column in range(1, width):
+                    out *= 10
+                    out += values[:sound, column]
+                row += sound
+                pos += sound * (width + 1)
+            else:
+                return None
+            held = end - pos  # a body ends with a whole line, and no line is longer
+            if not size or held > _PLAIN_DIGITS:
+                return None if held else terms
+            data[:held] = data[pos:end]
 
 
 def _first(flags: np.ndarray) -> int:

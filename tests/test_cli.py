@@ -158,6 +158,20 @@ def test_compute_table_budget(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_custom_table_budget_is_checked_before_either_file_is_read(tmp_path, monkeypatch,
+                                                                    capsys):
+    import addrep.cli as cli
+
+    loads = []
+    monkeypatch.setattr(cli, "load_sequence", lambda *args, **kwargs: loads.append(args))
+    odd = _odd_file(tmp_path)
+    code = main(["compute", "--problem", "custom", "--seq-a", odd, "--seq-b", odd,
+                 "--x-max", "3000000000", "--limit", "100"])
+    assert code == EXIT_RESOURCE and loads == []
+    assert capsys.readouterr().err == (
+        "error: run needs tables up to 3000000000, above the --limit cap 100\n")
+
+
 def test_custom_theorem_flag_validation(tmp_path, capsys):
     odd = _odd_file(tmp_path)
     assert main(["compute", "--problem", "custom", "--seq-a", odd, "--seq-b", odd,

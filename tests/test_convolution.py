@@ -153,6 +153,39 @@ def test_short_equal_sequences(kind, slots):
     _check_three_routes(kind, seq, seq, "equal")
 
 
+@pytest.mark.parametrize("kind", [EvaluatorKind.ODD_ODD, EvaluatorKind.EVEN_EVEN])
+@pytest.mark.parametrize("relation", ["equal", "subset", "overlapping"])
+def test_shared_term_on_the_last_target(kind, relation):
+    # The last target is twice the shared slot 3 (x = 14 = 7 + 7 for odd
+    # terms, 12 = 6 + 6 for even ones): the delta correction's last entry.
+    slots_a = {"equal": (0, 1, 3), "subset": (1, 3), "overlapping": (0, 3)}[relation]
+    slots_b = (1, 2, 3) if relation == "overlapping" else (0, 1, 3)
+    parity = KIND_PARITIES[kind][0]
+    limit = 2 * (2 * 3 + _first_term(parity))
+    a, b = _sequence(parity, limit, slots_a), _sequence(parity, limit, slots_b)
+    _check_three_routes(kind, a, b, relation)
+
+
+def test_chen_contained_pair_takes_two_transforms(monkeypatch):
+    # The odd primes lie within the primes and odd semiprimes, so W = A and
+    # the spectrum fa (2 fb - fa) takes two forward transforms, not three.
+    x_max = 2 * 10**4
+    tables = build_sieve(x_max)
+    a = make_sequence(SequenceKind.ODD_PRIMES, x_max, tables=tables).terms
+    b = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, x_max, tables=tables).terms
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    counts = count_series(EvaluatorKind.ODD_ODD, x_max, a, b)
+    assert len(calls) == 2
+    size = x_max // 2
+    assert counts.tolist() == convolution._by_shifts(EvaluatorKind.ODD_ODD, size, a, b).tolist()
+
+
 def test_a_one_term_side_runs_no_transform(monkeypatch):
     # Chen-total's even-even part: {2} against {2} and the doubled primes.
     def no_transform(*args, **kwargs):

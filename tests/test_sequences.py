@@ -443,14 +443,31 @@ def test_empty_sequences_are_valid():
         make_sequence(SequenceKind.CUSTOM, 6, terms=np.array([], dtype=np.int64))
 
 
-def test_tables_beyond_int32_are_refused_before_allocating():
-    # Each check runs before any table is allocated, so this costs nothing.
-    with pytest.raises(ResourceBudgetError, match="int32"):
-        ParitySequence([], Parity.ODD, 2**31)
-    with pytest.raises(ResourceBudgetError, match="int32"):
-        build_sieve(2**31, cap=2**40)
-    with pytest.raises(ResourceBudgetError, match="cap"):
-        build_sieve(2**31)
+def test_sequences_take_limits_past_int32(tmp_path):
+    # A sequence stores only its terms, so no limit is refused but a negative one.
+    big = 2**31 + 1
+    seq = ParitySequence([1, 3, big], Parity.ODD, big)
+    assert (seq.counting(big), seq.counting(big - 2), seq.contains(big)) == (3, 2, True)
+    assert not seq.contains(big - 2)
+    path = tmp_path / "f.txt"
+    path.write_text(f"parity: odd\n1\n3\n{big}\n{2**32 + 1}\n")
+    loaded = load_sequence(path, limit=big)
+    assert loaded == seq and loaded.counting(big) == 3 and big in loaded
+    with pytest.raises(ValueError, match="nonnegative"):
+        ParitySequence([], Parity.ODD, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_sieve(-1)
+
+
+def test_sieve_past_its_cap_is_refused_before_allocating(monkeypatch):
+    def no_flags(limit):
+        raise AssertionError("the sieve allocated its flags")
+
+    monkeypatch.setattr(sequences, "_odd_prime_flags", no_flags)
+    with pytest.raises(ResourceBudgetError, match="up to 2147483648, above the --limit cap"):
+        build_sieve(2**31, cap=2**31 - 1)
+    with pytest.raises(ResourceBudgetError, match="cap 50000000$"):
+        build_sieve(sequences.DEFAULT_TABLE_CAP + 1)
 
 
 def test_queries_build_no_table():
@@ -710,6 +727,26 @@ def test_block_parser_matches_loadtxt_on_each_form(tmp_path, body, limit):
     assert _load_outcome(path, limit) == _loadtxt_outcome(path, limit)
 
 
+# Sorted odd terms of every width from 1 to 18 digits, a few of each.
+_MIXED_WIDTHS = "".join(f"{t}\n" for t in sorted({3 ** k + 2 * j for k in range(38) for j in range(4)}))
+
+
+@pytest.mark.parametrize("block", [19, 20, 23, 64])
+@pytest.mark.parametrize(
+    "body",
+    [_EVERY_WIDTH, _MIXED_WIDTHS, _MIXED_WIDTHS[:-1], _MIXED_WIDTHS + "5\n",
+     _MIXED_WIDTHS.replace("\n59049\n", "\n59x49\n"), _MIXED_WIDTHS + "1" * 19 + "\n"],
+)
+def test_block_parser_matches_loadtxt_across_block_edges(tmp_path, monkeypatch, block, body):
+    # Small blocks put block edges inside lines, runs and bad rows alike.
+    path = tmp_path / "f.txt"
+    path.write_bytes(f"# head\nparity: odd\n{body}".encode())
+    monkeypatch.setattr(sequences, "_PARSE_BLOCK", block)
+    if body == _MIXED_WIDTHS:
+        assert sequences._plain_terms(path, 2).tolist() == list(map(int, body.split()))
+    assert _load_outcome(path) == _loadtxt_outcome(path)
+
+
 @st.composite
 def _sequence_files(draw):
     parity = draw(st.sampled_from(["odd", "even"]))
@@ -759,9 +796,9 @@ def test_plain_load_holds_no_full_size_temporaries(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(seq.terms, terms)
-    # The file's bytes (7.9 MB), the int64 terms (8 MB) and block-sized
-    # scratch; a bool or uint8 temporary over every term would add 1 MB.
-    assert peak < path.stat().st_size + terms.nbytes + 3 * sequences._PARSE_BLOCK
+    # The int64 terms (8 MB) and three block-sized buffers, with no term for
+    # the file's 7.9 MB; a bool or uint8 temporary over every term would add 1 MB.
+    assert peak < terms.nbytes + 4 * sequences._PARSE_BLOCK
 
 
 def test_load_sequence_comments_blanks_and_crlf(tmp_path):
