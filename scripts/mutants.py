@@ -123,6 +123,18 @@ MUTANTS = (
         ("tests/test_convolution.py::test_shared_term_on_the_last_target",),
     ),
     Mutant(
+        "convolution: transform route one over at index 10 001", "src/addrep/convolution.py",
+        "return _by_fft(kind, size, length, a, b)",
+        "return _by_fft(kind, size, length, a, b) + (np.arange(size) == 10_001)",
+        ("tests/test_applications.py::test_engine_running_sums_are_the_recursion_functional",),
+    ),
+    Mutant(
+        "recursion: subset formula shares B, not A", "src/addrep/recursion.py",
+        "self.seq_w, self._w = seq_a, self._a",
+        "self.seq_w, self._w = seq_b, self._b",
+        ("tests/test_recursion.py::test_corollary_consistency_random",),
+    ),
+    Mutant(
         "recursion: capped sum cut one term short", "src/addrep/recursion.py",
         'searchsorted(cap, side="right")',
         'searchsorted(cap, side="left")',
@@ -133,6 +145,13 @@ MUTANTS = (
         "n_a * (n_a - 1) // 2",
         "n_a * (n_a + 1) // 2",
         ("tests/test_recursion.py::test_equal_pair_subset_form_matches_equal_form",),
+    ),
+    Mutant(
+        "sequences: semiprime q range starts one prime late", "src/addrep/sequences.py",
+        "np.arange(lo, hi)",
+        "np.arange(lo + 1, hi + 1)",
+        ("tests/test_sequences.py::test_semiprime_counts_match_factorization",
+         "tests/test_sequences.py::test_odd_semiprime_terms_match_factorization"),
     ),
     Mutant(
         "sequences: block check without first <= last", "src/addrep/sequences.py",

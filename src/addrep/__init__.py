@@ -52,7 +52,6 @@ from .sequences import (
     load_sequence,
     make_sequence,
     odd_semiprime_count,
-    odd_semiprime_flags,
     odd_square_count,
     pi_hardy_wright,
     pronic_count,
@@ -96,7 +95,6 @@ __all__ = [
     "load_sequence",
     "make_sequence",
     "odd_semiprime_count",
-    "odd_semiprime_flags",
     "odd_square_count",
     "pi_hardy_wright",
     "pronic_count",

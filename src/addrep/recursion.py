@@ -17,16 +17,18 @@ That running tail makes a full series cost one pass instead of a
 re-summation per target.  ``RecursionEvaluator.run_to`` is the one step
 loop (``next`` runs it one target on).  A step costs at most three capped
 sums, each a gather over the terms up to half the target (three for the
-general and subset formulas, two for even-odd, one for equal), plus at
+general formula, two for even-odd, one for equal), plus at
 most one read of S(half) per sum, and no search: S(half) of a sum's term
 set is how many leading terms it takes.  A series to N thus sums
 O(N * #terms <= N/2) entries of int64 tables of S(x), x = 0..limit (8 B
 per target per distinct sequence), each sum in the table's own dtype, so
 no gather is cast; an evaluator builds its own tables.
 
-For the unordered kinds two shortcut step formulas exist: ``SUBSET`` when
-the first sequence is contained in the second, and ``EQUAL`` when both
-are the same.  They produce identical values through fewer sums.
+For the unordered kinds two shortcut formulas exist, and both give the
+general formula's values.  ``EQUAL``, when both sequences are the same,
+takes one sum.  ``SUBSET``, when the first sequence is contained in the
+second, is the general step with the first sequence as the shared part:
+the same three sums, without the intersection and its prefix table.
 
 Evaluators are single-owner mutable state: safe to hand between threads,
 not to drive concurrently.  Distinct evaluators sharing the same input
@@ -185,15 +187,15 @@ class RecursionEvaluator:
         if kind is EvaluatorKind.EVEN_ODD:
             self.seq_w = self._w = None
             self._step = self._step_even_odd
-        elif formula is Formula.GENERAL:
-            self.seq_w = seq_a if same else intersect(seq_a, seq_b)  # paired with itself: all shared
-            self._w = self._a if same else (self.seq_w.terms, _prefix_table(self.seq_w))
-            self._step = self._step_general
-        else:
-            # With seq_a contained in (or equal to) seq_b the shared part
-            # is seq_a itself.
+        elif same or formula is Formula.SUBSET:
+            # seq_a paired with itself or contained in seq_b: the shared part
+            # is seq_a, with no intersection and no third table.
             self.seq_w, self._w = seq_a, self._a
-            self._step = self._step_subset if formula is Formula.SUBSET else self._step_equal
+            self._step = self._step_equal if formula is Formula.EQUAL else self._step_general
+        else:
+            self.seq_w = intersect(seq_a, seq_b)
+            self._w = (self.seq_w.terms, _prefix_table(self.seq_w))
+            self._step = self._step_general
 
         first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1
         seed = int(seq_a.contains(first) and seq_b.contains(base - first))
@@ -268,15 +270,6 @@ class RecursionEvaluator:
         s_over_a = _capped_sum(cb, a[:n_a], half, x)
         s_over_w = _capped_sum(cw, w[:n_w], half, x)
         return s_over_b + s_over_a - s_over_w - n_a * n_b + n_w * (n_w + 1) // 2
-
-    def _step_subset(self, x: int) -> int:
-        (a, ca), (b, cb) = self._a, self._b
-        half = x // 2
-        n_a, n_b = ca.item(half), cb.item(half)
-        a = a[:n_a]
-        s_over_b = _capped_sum(ca, b[:n_b], half, x)
-        s_diff = _capped_sum(cb, a, half, x) - _capped_sum(ca, a, half, x)
-        return s_over_b + s_diff - n_a * n_b + n_a * (n_a + 1) // 2
 
     def _step_equal(self, x: int) -> int:
         a, ca = self._a

@@ -339,34 +339,29 @@ def odd_semiprime_count(x: int, tables: SieveTables) -> int:
 
 
 def _semiprime_count(x: int, tables: SieveTables, smallest: int) -> int:
-    # Each prime p <= sqrt(x) contributes the primes q with p <= q <= x/p,
-    # which is pi(x // p) - pi(p) + 1; the tie p*p = x is included.  With
-    # p = primes[i], pi(p) = i + 1, so that is pi(x // p) - i.
     if x < 0:
         return 0
     if x > tables.limit:
         raise LimitExceededError(f"semiprime count at {x} beyond {tables.limit}")
-    primes = tables.primes
+    _, starts, ends = _semiprime_ranges(tables.primes, x, smallest)
+    return int((ends - starts).sum(dtype=np.int64))
+
+
+def _semiprime_ranges(
+    primes: np.ndarray, x: int, smallest: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The semiprimes p*q <= x with smallest <= p <= q, both prime, by p.
+
+    Returns (ps, starts, ends): each prime p in ps, from ``smallest`` up to
+    sqrt(x), pairs with the primes q in primes[start:end], those from p up
+    to x // p; the tie p*p = x is included.  With p = primes[i], start is
+    i, so end - start is pi(x // p) - pi(p) + 1.  ``primes`` must hold
+    every prime up to x // smallest.
+    """
     lo = int(primes.searchsorted(smallest))
     hi = int(primes.searchsorted(math.isqrt(x), side="right"))
-    counts = primes.searchsorted(x // primes[lo:hi], side="right") - np.arange(lo, hi)
-    return int(counts.sum(dtype=np.int64))
-
-
-def odd_semiprime_flags(tables: SieveTables, limit: int | None = None) -> np.ndarray:
-    """Boolean table over 0..limit marking the odd semiprimes.
-
-    Its odd entries are the odd-only flags that PRIME_OR_ODD_SEMIPRIME
-    builds (see _mark_odd_semiprimes), written in place; the even ones
-    stay False.
-    """
-    if limit is None:
-        limit = tables.limit
-    elif limit > tables.limit:
-        raise LimitExceededError(f"need a sieve up to {limit}, have {tables.limit}")
-    flags = np.zeros(limit + 1, dtype=bool)
-    _mark_odd_semiprimes(flags[1::2], tables, limit)
-    return flags
+    ps = primes[lo:hi]
+    return ps, np.arange(lo, hi), primes.searchsorted(x // ps, side="right")
 
 
 def _mark_odd_semiprimes(halves: np.ndarray, tables: SieveTables, limit: int) -> None:
@@ -376,13 +371,9 @@ def _mark_odd_semiprimes(halves: np.ndarray, tables: SieveTables, limit: int) ->
     // 2 in all.  The tables must cover ``limit``.
     """
     primes = tables.primes
-    # p runs over the odd primes up to sqrt(limit), q over primes[i:end],
-    # the primes from p up to limit // p.
-    lo = int(np.searchsorted(primes, 3))
-    hi = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    ends = np.searchsorted(primes, limit // primes[lo:hi], side="right")
-    for i, (p, end) in enumerate(zip(primes[lo:hi].tolist(), ends.tolist()), lo):
-        halves[(p * primes[i:end]) >> 1] = True
+    ps, starts, ends = _semiprime_ranges(primes, limit, 3)
+    for p, start, end in zip(ps.tolist(), starts.tolist(), ends.tolist()):
+        halves[(p * primes[start:end]) >> 1] = True
 
 
 def odd_square_count(x: int) -> int:

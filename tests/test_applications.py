@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
-from addrep import applications, recursion
+from addrep import applications, convolution, recursion
 from addrep.applications import PROBLEMS, custom_problem
 from addrep.errors import LimitExceededError, ParityMismatchError
-from addrep.recursion import _BASES, EvaluatorKind
+from addrep.recursion import _BASES, EvaluatorKind, Formula, RecursionEvaluator
 from addrep.sequences import (
     Parity,
     ParitySequence,
@@ -177,6 +178,27 @@ def test_custom_pair_of_equal_files_keeps_the_general_formula(tmp_path, monkeypa
 def test_recursion_equals_engine_at_n_2000(name):
     spec = PROBLEMS[name]
     assert spec.counts(2000, "recursion").tolist() == spec.counts(2000).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_engine_running_sums_are_the_recursion_functional(name):
+    # The recursion's one-shot functional F(x) is the sum of the counts up
+    # to x, so each F call checks the engine series' running sum there,
+    # far past the oracle's cap.  A part that pairs a sequence with itself
+    # takes the equal formula, any other the general one.
+    spec = PROBLEMS[name]
+    n_max = 10**5 if name == "two-squares" else 2 * 10**5
+    x_max, tables = spec.x_of_n(n_max), spec.sieve(n_max)
+    for kind, make_a, make_b, _ in spec.parts:
+        seq_a = make_a(x_max, tables)
+        seq_b = seq_a if make_b is make_a else make_b(x_max, tables)
+        b_terms = None if seq_b is seq_a else seq_b.terms
+        running = np.cumsum(convolution.count_series(kind, x_max, seq_a.terms, b_terms))
+        formula = Formula.EQUAL if seq_b is seq_a else Formula.GENERAL
+        evaluator = RecursionEvaluator(kind, seq_a, seq_b, formula)
+        for i in np.linspace(0, len(running) - 1, 10).astype(int).tolist():
+            x = _BASES[kind] + 2 * i
+            assert evaluator._functional(x) == running[i], (kind, x)
 
 
 def test_custom_problem_rejects_mixed_parity():

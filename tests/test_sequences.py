@@ -30,7 +30,6 @@ from addrep.sequences import (
     load_sequence,
     make_sequence,
     odd_semiprime_count,
-    odd_semiprime_flags,
     odd_square_count,
     pi_hardy_wright,
     pronic_count,
@@ -189,21 +188,26 @@ def test_semiprime_counts_match_factorization():
         assert odd_semiprime_count(x, tables) == expect_odd
 
 
-def test_odd_semiprime_flags_match_count():
+def _odd_semiprimes(limit, tables):
+    """The PRIME_OR_ODD_SEMIPRIME terms up to limit that are not prime."""
+    seq = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, limit, tables=tables)
+    return np.setdiff1d(seq.terms, tables.primes, assume_unique=True)
+
+
+def test_odd_semiprime_terms_match_count():
     tables = build_sieve(3000)
-    flags = odd_semiprime_flags(tables)
-    prefix = np.cumsum(flags)
+    odd_semiprimes = _odd_semiprimes(3000, tables)
     for x in (0, 8, 9, 100, 1499, 3000):
-        assert int(prefix[x]) == odd_semiprime_count(x, tables)
+        assert int(odd_semiprimes.searchsorted(x, side="right")) == odd_semiprime_count(x, tables)
 
 
 @pytest.mark.parametrize("limit", [0, 9, 15, 25, 45, 49, 3000])
-def test_odd_semiprime_flags_match_factorization(limit):
+def test_odd_semiprime_terms_match_factorization(limit):
     # 9 = 3*3 and 25 = 5*5 sit on p*p == limit; at 15 and 45, limit // 3
     # is the prime 5 (and 15 = 3*5 itself); 49 = 7*7 needs the last small p.
-    flags = odd_semiprime_flags(build_sieve(limit))
+    odd_semiprimes = _odd_semiprimes(limit, build_sieve(limit))
     expected = [n for n in range(limit + 1) if n % 2 == 1 and factor_count(n) == 2]
-    assert np.flatnonzero(flags).tolist() == expected
+    assert odd_semiprimes.tolist() == expected
 
 
 def test_prime_or_odd_semiprime_matches_factorization():
@@ -217,11 +221,22 @@ def test_prime_or_odd_semiprime_matches_factorization():
             assert seq.terms.tolist() == want, limit
 
 
-def test_prime_or_odd_semiprime_merges_odd_primes_and_semiprime_flags():
-    tables = build_sieve(10**6)
-    seq = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, 10**6, tables=tables)
-    odd_semiprimes = np.flatnonzero(odd_semiprime_flags(tables))
-    assert np.array_equal(seq.terms, np.union1d(tables.primes[1:], odd_semiprimes))
+def test_prime_or_odd_semiprime_matches_an_omega_sieve():
+    # Omega(n), the prime factors of n with multiplicity, counted by adding 1
+    # at every multiple of every odd prime power; odd n have no factor 2.
+    limit = 10**6
+    tables = build_sieve(limit)
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    for p in tables.primes[1:].tolist():
+        power = p
+        while power <= limit:
+            omega[power::power] += 1
+            power *= p
+    odd = np.arange(1, limit + 1, 2)
+    want = odd[(omega[odd] == 1) | (omega[odd] == 2)]
+    seq = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, limit, tables=tables)
+    assert np.array_equal(seq.terms, want)
+    assert odd_semiprime_count(limit, tables) == np.count_nonzero(omega[want] == 2)
 
 
 # --- ParitySequence basics ------------------------------------------------
