@@ -135,6 +135,19 @@ MUTANTS = (
         ("tests/test_recursion.py::test_corollary_consistency_random",),
     ),
     Mutant(
+        "recursion: even-odd takes A as its shared part", "src/addrep/recursion.py",
+        "self.seq_w = self._w = None",
+        "self.seq_w, self._w = seq_a, self._a",
+        ("tests/test_recursion.py::test_matches_oracle_randomized",),
+    ),
+    Mutant(
+        # Both caps give every count right; only the cap itself is pinned.
+        "recursion: the general step caps at x // 2", "src/addrep/recursion.py",
+        "half = (x + 1) // 2",
+        "half = x // 2",
+        ("tests/test_recursion.py::test_each_capped_sum_gets_exactly_the_terms_up_to_half",),
+    ),
+    Mutant(
         "recursion: capped sum cut one term short", "src/addrep/recursion.py",
         'searchsorted(cap, side="right")',
         'searchsorted(cap, side="left")',

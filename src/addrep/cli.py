@@ -76,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_TABLE_CAP,
             help="largest table that may be built (entries)",
         )
-        sp.add_argument(
-            "--oracle-cap",
-            type=int,
-            default=DEFAULT_ORACLE_CAP,
-            help="largest target x the brute-force oracle will sweep",
-        )
 
     compute = sub.add_parser("compute", help="compute a count series and write it out")
     add_common(compute)
@@ -94,10 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--out", dest="output_path", default="-", help="output path, - for stdout")
 
     verify = sub.add_parser("verify", help="check a series term by term against brute force")
-    add_common(verify)
-
     bench = sub.add_parser("bench", help="time every route of a problem at geometric steps")
-    add_common(bench)
+    for sp in (verify, bench):
+        add_common(sp)
+        sp.add_argument(
+            "--oracle-cap",
+            type=int,
+            default=DEFAULT_ORACLE_CAP,
+            help="largest target x the brute-force oracle will sweep",
+        )
     return parser
 
 

@@ -9,26 +9,27 @@ exist, keyed by the parities involved:
 * ``EVEN_ODD``  odd targets, one even and one odd term, roles fixed by
   parity (base 1).
 
-Each step expresses the count at x through counting-function sums over
-terms up to half the target, a cross product of the two counting
-functions at the midpoint, for the unordered kinds a correction built
-from the shared terms, minus the sum of every previously computed count.
-That running tail makes a full series cost one pass instead of a
-re-summation per target.  ``RecursionEvaluator.run_to`` is the one step
-loop (``next`` runs it one target on).  A step costs at most three capped
-sums, each a gather over the terms up to half the target (three for the
-general formula, two for even-odd, one for equal), plus at
-most one read of S(half) per sum, and no search: S(half) of a sum's term
-set is how many leading terms it takes.  A series to N thus sums
+Each step is the paper's theorem: the count at x through sums of S_A
+over B's terms and of S_B over A's terms up to half the target, a cross
+product of the counting functions there and, when the roles can share
+terms, a correction over the shared part W, minus the sum of every
+previously computed count.  That running tail makes a full series cost
+one pass instead of a re-summation per target.  ``run_to`` is the one
+step loop (``next`` runs it one target on).  A step costs a capped sum
+over B, A and W (when there is one), each a gather over the terms up to
+the cap, plus one read of S(cap) per sum and no search: S(cap) of a term
+set is how many leading terms the sum takes.  One cap, (x + 1) // 2, is
+exact for every kind and x: raising it from h to h + 1, 2(h + 1) = x + 1,
+moves the value by omega - alpha * beta = 0, where alpha, beta and omega
+say whether h + 1 is in A, B and W.  A series to N thus sums
 O(N * #terms <= N/2) entries of int64 tables of S(x), x = 0..limit (8 B
 per target per distinct sequence), each sum in the table's own dtype, so
 no gather is cast; an evaluator builds its own tables.
 
-For the unordered kinds two shortcut formulas exist, and both give the
-general formula's values.  ``EQUAL``, when both sequences are the same,
-takes one sum.  ``SUBSET``, when the first sequence is contained in the
-second, is the general step with the first sequence as the shared part:
-the same three sums, without the intersection and its prefix table.
+W is A and B's intersection, or A when A lies in B (``SUBSET``, or A paired
+with itself), which needs no third table; even-odd has none, since parity
+keeps its roles apart.  ``EQUAL``, for two equal sequences, is the
+theorem's corollary: one sum, with the general formula's values.
 
 Evaluators are single-owner mutable state: safe to hand between threads,
 not to drive concurrently.  Distinct evaluators sharing the same input
@@ -145,8 +146,6 @@ class RecursionEvaluator:
         seq_a: ParitySequence,
         seq_b: ParitySequence,
         formula: Formula = Formula.GENERAL,
-        *,
-        _tables=None,
     ):
         want_a, want_b = _PARITIES[kind]
         if seq_a.parity is not want_a or seq_b.parity is not want_b:
@@ -178,24 +177,20 @@ class RecursionEvaluator:
         self.formula = formula
         self.seq_a = seq_a
         self.seq_b = seq_b
-        # (terms, prefix table) per role; equal sequences share one table,
-        # and a specialization reuses the (a, b) pairs of its original.
-        a, b = _tables or (None, None)
-        self._a = a or (seq_a.terms, _prefix_table(seq_a))
+        # (terms, prefix table) per role; equal sequences share one table.
+        self._a = (seq_a.terms, _prefix_table(seq_a))
         same = seq_b is seq_a or formula is Formula.EQUAL
-        self._b = self._a if same else b or (seq_b.terms, _prefix_table(seq_b))
+        self._b = self._a if same else (seq_b.terms, _prefix_table(seq_b))
+        # The shared part W: none when parity keeps the roles apart, seq_a
+        # when it lies in seq_b (no third table), else the intersection.
         if kind is EvaluatorKind.EVEN_ODD:
             self.seq_w = self._w = None
-            self._step = self._step_even_odd
         elif same or formula is Formula.SUBSET:
-            # seq_a paired with itself or contained in seq_b: the shared part
-            # is seq_a, with no intersection and no third table.
             self.seq_w, self._w = seq_a, self._a
-            self._step = self._step_equal if formula is Formula.EQUAL else self._step_general
         else:
             self.seq_w = intersect(seq_a, seq_b)
             self._w = (self.seq_w.terms, _prefix_table(self.seq_w))
-            self._step = self._step_general
+        self._step = self._step_equal if formula is Formula.EQUAL else self._step_general
 
         first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1
         seed = int(seq_a.contains(first) and seq_b.contains(base - first))
@@ -247,15 +242,11 @@ class RecursionEvaluator:
 
     def specialized_subset(self) -> "RecursionEvaluator":
         """Fresh evaluator using the contained-sequence shortcut formula."""
-        return RecursionEvaluator(
-            self.kind, self.seq_a, self.seq_b, Formula.SUBSET, _tables=(self._a, self._b)
-        )
+        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.SUBSET)
 
     def specialized_equal(self) -> "RecursionEvaluator":
         """Fresh evaluator using the equal-sequences shortcut formula."""
-        return RecursionEvaluator(
-            self.kind, self.seq_a, self.seq_b, Formula.EQUAL, _tables=(self._a, self._b)
-        )
+        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.EQUAL)
 
     # Each step formula returns the one-shot count functional at x; run_to
     # subtracts the running tail to get the count itself.  A step reads
@@ -263,24 +254,20 @@ class RecursionEvaluator:
     # and shared-term terms and cut each term array to the terms <= half.
 
     def _step_general(self, x: int) -> int:
-        (a, ca), (b, cb), (w, cw) = self._a, self._b, self._w
-        half = x // 2
-        n_a, n_b, n_w = ca.item(half), cb.item(half), cw.item(half)
+        (a, ca), (b, cb) = self._a, self._b
+        half = (x + 1) // 2
+        n_a, n_b = ca.item(half), cb.item(half)
         s_over_b = _capped_sum(ca, b[:n_b], half, x)
         s_over_a = _capped_sum(cb, a[:n_a], half, x)
-        s_over_w = _capped_sum(cw, w[:n_w], half, x)
-        return s_over_b + s_over_a - s_over_w - n_a * n_b + n_w * (n_w + 1) // 2
+        value = s_over_b + s_over_a - n_a * n_b
+        if self._w is not None:
+            w, cw = self._w
+            n_w = cw.item(half)
+            value += n_w * (n_w + 1) // 2 - _capped_sum(cw, w[:n_w], half, x)
+        return value
 
     def _step_equal(self, x: int) -> int:
         a, ca = self._a
         half = x // 2
         n_a = ca.item(half)
         return _capped_sum(ca, a[:n_a], half, x) - n_a * (n_a - 1) // 2
-
-    def _step_even_odd(self, x: int) -> int:
-        (a, ca), (b, cb) = self._a, self._b
-        half = (x + 1) // 2
-        n_a, n_b = ca.item(half), cb.item(half)
-        s_over_b = _capped_sum(ca, b[:n_b], half, x)
-        s_over_a = _capped_sum(cb, a[:n_a], half, x)
-        return s_over_b + s_over_a - n_a * n_b

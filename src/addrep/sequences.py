@@ -538,11 +538,19 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     if limit is None:
         limit = max(int(terms.max()), 0) if terms.size else 0
     else:
-        # Every term of the file is checked for sign, order and parity before
-        # those past the limit are dropped, so a fault past the limit is not
-        # hidden; the checked terms are sorted, so the kept ones are a prefix.
-        _check_terms(terms, parity, np.iinfo(np.int64).max)
-        terms = terms[: terms.searchsorted(limit, side="right")]
+        # Each term is checked once, so a fault past the limit is not hidden:
+        # the kept prefix by the constructor, the dropped rest, with the pair
+        # across the cut, here.  A binary search gives terms[k - 1] <= limit
+        # < terms[k] in any array, so a kept term past the limit means an
+        # order fault before the cut, which a check without a limit names.
+        k = int(terms.searchsorted(limit, side="right"))
+        try:
+            seq = ParitySequence(terms[:k], parity, limit)
+        except LimitExceededError:
+            _check_terms(terms[:k], parity, np.iinfo(np.int64).max)
+            raise
+        _check_terms(terms[max(k - 1, 0):], parity, np.iinfo(np.int64).max)
+        return seq
     return ParitySequence(terms, parity, limit)
 
 

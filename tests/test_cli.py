@@ -11,6 +11,7 @@ from addrep.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    build_parser,
     main,
     read_bfile,
 )
@@ -122,6 +123,17 @@ def test_compute_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--problem", "nope", "--n-max", "3"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_oracle_cap_belongs_to_the_oracle_commands(capsys):
+    # compute runs no oracle, so the flag is argparse's unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--problem", "goldbach", "--n-max", "5", "--oracle-cap", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --oracle-cap 3" in capsys.readouterr().err
+    for command in ("verify", "bench"):
+        args = build_parser().parse_args([command, "--problem", "goldbach", "--oracle-cap", "3"])
+        assert args.oracle_cap == 3
 
 
 _BUILT_IN_ARGV = ["--problem", "goldbach", "--n-max", "5"]

@@ -264,6 +264,19 @@ def test_functional_past_the_tables_raises(kind, formula, a, b):
         ev._functional(base + 2 * (limit + 1))
 
 
+@pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
+def test_functional_off_the_lattice_sums_the_counts_up_to_x(kind, formula, a, b):
+    # At every x, on the target lattice or off it, the functional is the
+    # sum of the counts at targets <= x: each step's cap is exact there.
+    ev = RecursionEvaluator(kind, a, b, formula)
+    base, limit = ev.computed.base, a.limit
+    counts = dict(ev.run_to(base + 2 * ((limit - base) // 2)).items())
+    running = 0
+    for x in range(limit + 1):
+        running += counts.get(x, 0)
+        assert ev._functional(x) == running, x
+
+
 # --- constructor errors ----------------------------------------------------
 
 def test_parity_mismatch_rejected():
@@ -362,25 +375,6 @@ def test_one_prefix_table_per_distinct_sequence():
     want = evaluators["copy"].run_to(200).values
     assert evaluators["self"].run_to(200).values == want
     assert evaluators["equal"].run_to(200).values == want
-
-
-def test_specializations_reuse_the_held_tables(monkeypatch):
-    seq = make_sequence(SequenceKind.ODD_PRIMES, 200)
-    chen = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, 200)
-    contained = RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen)
-    same = RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, seq)
-    built = []
-    build = recursion._prefix_table
-    monkeypatch.setattr(recursion, "_prefix_table", lambda s: built.append(s) or build(s))
-    subset = contained.specialized_subset()
-    equal = same.specialized_equal()
-    equal_subset = equal.specialized_subset()
-    assert built == []
-    assert subset._a is contained._a and subset._b is contained._b
-    assert equal._a is equal._b is same._a
-    assert subset.run_to(200).values == contained.run_to(200).values
-    want = same.run_to(200).values
-    assert equal.run_to(200).values == equal_subset.run_to(200).values == want
 
 
 def test_corollary_consistency_random():

@@ -843,10 +843,13 @@ def test_load_sequence_without_limit_names_the_fault(tmp_path, body, message):
         load_sequence(path)
 
 
-@pytest.mark.parametrize("limit", [None, 6])
+@pytest.mark.parametrize("limit", [None, 6, 50])
 @pytest.mark.parametrize(
     "body, error, message",
     [("1\n9\n3\n5\n", SequenceFormatError, "strictly increasing, got 3 after 9"),
+     # a cut by binary search keeps 1, 101, 3, 5: the fault is the order,
+     # not 101 past the limit
+     ("1\n101\n3\n5\n61\n71\n", SequenceFormatError, "strictly increasing, got 3 after 101"),
      ("1\n3\n8\n", ParityMismatchError, "even term 8 in an odd sequence")],
 )
 def test_load_sequence_checks_terms_past_the_limit(tmp_path, limit, body, error, message):
@@ -855,6 +858,20 @@ def test_load_sequence_checks_terms_past_the_limit(tmp_path, limit, body, error,
     path.write_text("parity: odd\n" + body)
     with pytest.raises(error, match=message):
         load_sequence(path, limit=limit)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 40, 100, 1000])
+def test_load_sequence_checks_each_term_once(tmp_path, monkeypatch, limit):
+    path = tmp_path / "f.txt"
+    path.write_text("parity: odd\n" + "".join(f"{t}\n" for t in range(1, 200, 2)))
+    checked = []
+    check = sequences._check_terms
+    monkeypatch.setattr(sequences, "_check_terms",
+                        lambda terms, *rest: checked.append(len(terms)) or check(terms, *rest))
+    seq = load_sequence(path, limit=limit)
+    assert seq.terms.tolist() == [t for t in range(1, 200, 2) if limit is None or t <= limit]
+    # the pair across the cut shares its kept term
+    assert 100 <= sum(checked) <= 101
 
 
 def test_load_sequence_without_terms(tmp_path):
