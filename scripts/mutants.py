@@ -105,15 +105,21 @@ MUTANTS = (
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
+        "convolution: A's terms not cleared before W's transform", "src/addrep/convolution.py",
+        "buf[a // 2] = 0",
+        "pass",
+        ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
+    ),
+    Mutant(
         "convolution: subset route always taken", "src/addrep/convolution.py",
-        "subset = in_b.all() if subset is None else subset",
-        "subset = True if subset is None else subset",
+        "w = a if in_b.all() else a[in_b]",
+        "w = a if True else a[in_b]",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
         "convolution: subset route never taken", "src/addrep/convolution.py",
-        "subset = in_b.all() if subset is None else subset",
-        "subset = False if subset is None else subset",
+        "w = a if in_b.all() else a[in_b]",
+        "w = a if False else a[in_b]",
         ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
     ),
     Mutant(
@@ -124,9 +130,21 @@ MUTANTS = (
     ),
     Mutant(
         "convolution: transform route one over at index 10 001", "src/addrep/convolution.py",
-        "return _by_fft(kind, size, length, a, b)",
-        "return _by_fft(kind, size, length, a, b) + (np.arange(size) == 10_001)",
+        "counts = _by_fft(size, length, a, b, w)",
+        "counts = _by_fft(size, length, a, b, w) + (np.arange(size) == 10_001)",
         ("tests/test_applications.py::test_engine_running_sums_are_the_recursion_functional",),
+    ),
+    Mutant(
+        "convolution: shifts skip W's own pairs", "src/addrep/convolution.py",
+        "inside[w // 2] = 1",
+        "inside[w // 2] = 2",
+        ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
+    ),
+    Mutant(
+        "convolution: parity check dropped", "src/addrep/convolution.py",
+        "if odd.any():",
+        "if False:",
+        ("tests/test_convolution.py::test_an_odd_doubled_count_raises",),
     ),
     Mutant(
         "recursion: subset formula shares B, not A", "src/addrep/recursion.py",

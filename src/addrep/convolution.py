@@ -2,37 +2,34 @@
 
 What the recursion's step leaves after subtracting the running tail is
 the convolution of the two sequences' indicator vectors, so a whole
-series costs one O(K log K) convolution for K targets.  The counts are:
-
-* ``EVEN_ODD`` (roles fixed by parity): ``N_AB``;
-* unordered kinds: ``N_AB - (N_WW - delta) / 2`` with ``W = A & B`` and
-  ``delta(x) = [x/2 in W]``, the step formula's correction for shared
-  terms; for equal sequences this is ``(N_AA + delta) / 2``.
+series costs one O(K log K) convolution for K targets.  ``EVEN_ODD``
+(roles fixed by parity) counts ``N_AB``; the unordered kinds count
+``(2 N_AB - N_WW + delta) / 2`` with ``W = A & B`` and ``delta(x) =
+[x/2 in W]``, the step formula's correction for shared terms.
+``count_series`` finds W once (``W = A`` for equal sequences and for A
+within B), has a route return ``N_AB`` or ``2 N_AB - N_WW`` exactly, then
+adds delta and halves, refusing a doubled count that came out odd.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the recursion's bases.  Float results not within
-0.25 of an integer, NaN and inf included, raise ResourceBudgetError
-rather than being rounded.
+0.25 of an integer, NaN and inf included, raise ResourceBudgetError.
 
 A transform reads one float64 indicator of K entries, written straight
 from the terms and padded by ``rfft`` itself, and makes one spectrum;
 the spectra are combined in place and each is dropped once used.  For
-``A`` within ``B`` (the paper's subset formula; Chen's odd primes within
-the primes-or-odd-semiprimes) ``W = A``, so the spectrum
-``fa (2 fb - fa)`` takes two forward transforms where
-``2 fa fb - fw fw`` takes three.  Containment and ``W`` come from one
-gather of B's indicator at A's terms.  ``rfft``'s ``out=`` needs
-numpy >= 2.0.
+A within B (the paper's subset formula; Chen's odd primes within the
+primes-or-odd-semiprimes) the spectrum ``fa (2 fb - fa)`` takes two
+forward transforms where ``2 fa fb - fw fw`` takes three.  ``rfft``'s
+``out=`` needs numpy >= 2.0.
 
 When one side has only k terms, k shifted adds of the other side's
-indicator give ``N_AB`` exactly and the shared terms' own pairs give the
-correction, with no transform at all.  ``count_series`` takes that route
-when its estimated cost is the lower (``_SHIFT_CALL``, ``_TRANSFORM_CALL``).
+indicator O (2 O at a term outside W, 2 O - W at one in it) need no
+transform; ``count_series`` takes that route when its estimated cost
+(``_SHIFT_CALL``, ``_TRANSFORM_CALL``) is the lower.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -81,12 +78,6 @@ def exact_counts(values: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _indicator(terms: np.ndarray, size: int) -> np.ndarray:
-    flags = np.zeros(size, dtype=bool)
-    flags[terms // 2] = True
-    return flags
-
-
 def count_series(
     kind: EvaluatorKind, x_max: int, a: np.ndarray, b: np.ndarray | None = None
 ) -> np.ndarray:
@@ -103,73 +94,77 @@ def count_series(
     # Views of the terms whose index t // 2 is below size.
     a = a[: np.searchsorted(a, 2 * size)]
     b = None if b is None else b[: np.searchsorted(b, 2 * size)]
+    w = None if kind is EvaluatorKind.EVEN_ODD else a  # W, the terms A and B share
+    if b is not None and w is not None:
+        in_b = np.zeros(size, dtype=bool)
+        in_b[b // 2] = True
+        in_b = in_b[a // 2]  # a gather, where np.isin would sort both
+        w = a if in_b.all() else a[in_b]
     length = fast_length(2 * size - 1)
-    transforms = 2 if b is None else 3 if kind is EvaluatorKind.EVEN_ODD else 4
+    transforms = 2 if b is None else 3 if w is None or w is a else 4
     short = len(a) if b is None else min(len(a), len(b))
     if short * (size + _SHIFT_CALL) <= transforms * (
         length * math.log2(length) + _TRANSFORM_CALL
     ):
-        return _by_shifts(kind, size, a, b)
-    return _by_fft(kind, size, length, a, b)
+        counts = _by_shifts(size, a, b, w)
+    else:
+        counts = _by_fft(size, length, a, b, w)
+    if w is None:
+        return counts
+    # delta(x) = [x/2 in W] is 1 at the even index 2 (w // 2) of each w in W.
+    at = w // 2 * 2
+    counts[at[at < size]] += 1
+    odd = np.bitwise_and(counts, 1, out=np.empty(size, dtype=bool), casting="unsafe")
+    if odd.any():
+        x = base + 2 * int(odd.argmax())
+        raise ResourceBudgetError(f"twice the count at {x} came out odd; counts are not exact")
+    counts //= 2
+    return counts
 
 
-def _by_fft(kind, size, length, a, b, subset=None) -> np.ndarray:
-    """The transform route.  ``subset`` forces the route for A within B on
-    (where A is within B) or off; None takes it when A is within B."""
+def _by_fft(size, length, a, b, w) -> np.ndarray:
+    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by transforms."""
     buf = np.zeros(size)  # each indicator in turn; rfft pads it to length
     buf[(a if b is None else b) // 2] = 1
     spectrum = np.fft.rfft(buf, length)
-    shared = a  # W, the terms A and B share
     if b is None:
         spectrum *= spectrum
     else:
-        if kind is not EvaluatorKind.EVEN_ODD:
-            in_b = buf[a // 2] == 1  # a gather, where np.isin would sort both
-            subset = in_b.all() if subset is None else subset
         buf[b // 2] = 0
         buf[a // 2] = 1
         fa = np.fft.rfft(buf, length)
-        if kind is EvaluatorKind.EVEN_ODD:
+        if w is None:
             spectrum *= fa
-        elif subset:  # W = A: fa (2 fb - fa)
+        elif w is a:  # fa (2 fb - fa)
             spectrum *= 2
             spectrum -= fa
             spectrum *= fa
         else:  # 2 fa fb - fw fw, with fw in the place of fa
             spectrum *= fa
             spectrum *= 2
-            buf[a[~in_b] // 2] = 0
+            buf[a // 2] = 0
+            buf[w // 2] = 1
             fw = np.fft.rfft(buf, length, out=fa)
             fw *= fw
             spectrum -= fw
-            shared = a[in_b]
         del fa
     del buf
     values = np.fft.irfft(spectrum, length)[:size]
     del spectrum
-    counts = exact_counts(values)
-    if kind is EvaluatorKind.EVEN_ODD:
-        return counts
-    # delta(x) = [x/2 in W] is 1 at the even index 2 (w // 2) of each w in W.
-    at = shared // 2 * 2
-    counts[at[at < size]] += 1
-    counts //= 2
-    return counts
+    return exact_counts(values)
 
 
-def _by_shifts(kind, size, a, b) -> np.ndarray:
+def _by_shifts(size, a, b, w) -> np.ndarray:
+    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by shifted adds."""
     short, other = sorted((a, a if b is None else b), key=len)
-    other_flags = _indicator(other, size)
-    short_index = short // 2
+    outside = np.zeros(size, dtype=np.int8)
+    outside[other // 2] = 1 if w is None else 2
+    inside = outside.copy()
+    if w is not None:  # W lies within both sides: 2 O - W is 1 on W
+        inside[w // 2] = 1
+    index = short // 2
+    in_w = inside[index] < outside[index]
     counts = np.zeros(size, dtype=np.int64)
-    for i in short_index.tolist():
-        counts[i:] += other_flags[: size - i]
-    if kind is EvaluatorKind.EVEN_ODD:
-        return counts
-    # N_AB counted each pair {u, w} of distinct shared terms twice; the
-    # correction (N_WW - delta) / 2 is one per such pair.
-    shared = short_index[other_flags[short_index]].tolist()
-    for u, w in itertools.combinations(shared, 2):
-        if u + w < size:
-            counts[u + w] -= 1
+    for i, shared in zip(index.tolist(), in_w.tolist()):
+        counts[i:] += (inside if shared else outside)[: size - i]
     return counts

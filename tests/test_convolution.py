@@ -24,22 +24,24 @@ def _sequence(parity: Parity, limit: int, slots) -> ParitySequence:
     return ParitySequence([start + 2 * i for i in sorted(slots)], parity, limit)
 
 
+def _forced(route, *args):
+    """count_series with its cost model rigged to take ``route``, so the
+    shared-term tail runs as it does on the route's own choice."""
+    with pytest.MonkeyPatch.context() as patch:
+        # A transform cost of +-10^15 entries outweighs any test's shifts,
+        # or undercuts even an empty side's.
+        patch.setattr(convolution, "_TRANSFORM_CALL", 10**15 if route == "shifts" else -10**15)
+        return count_series(*args)
+
+
 def _forced_routes(kind, x_last, a_terms, b_terms):
-    """The engine's counts by its shifted adds and by its transform route,
-    that route with the subset route left to itself, forced off and, where
-    A is within B, forced on; equal sequences also run as a pair."""
-    size = (x_last - _BASES[kind]) // 2 + 1
-    length = fast_length(2 * size - 1)
-    a_terms = a_terms[a_terms < 2 * size]  # the terms count_series keeps
-    b_terms = None if b_terms is None else b_terms[b_terms < 2 * size]
-    routes = [convolution._by_shifts(kind, size, a_terms, b_terms)]
-    for b in [b_terms] if b_terms is not None else [None, a_terms]:
-        subsets = [None, False]
-        if b is not None and np.isin(a_terms, b).all():
-            subsets.append(True)
-        for subset in subsets:
-            routes.append(convolution._by_fft(kind, size, length, a_terms, b, subset))
-    return [counts.tolist() for counts in routes]
+    """The engine's counts by its shifted adds and by its transforms;
+    equal sequences also run as a pair."""
+    return [
+        _forced(route, kind, x_last, a_terms, b).tolist()
+        for b in ([b_terms] if b_terms is not None else [None, a_terms])
+        for route in ("shifts", "transform")
+    ]
 
 
 def _check_three_routes(kind, a, b, relation):
@@ -168,7 +170,8 @@ def test_shared_term_on_the_last_target(kind, relation):
 
 def test_chen_contained_pair_takes_two_transforms(monkeypatch):
     # The odd primes lie within the primes and odd semiprimes, so W = A and
-    # the spectrum fa (2 fb - fa) takes two forward transforms, not three.
+    # the spectrum fa (2 fb - fa) takes two forward transforms, not three;
+    # the shifted adds, forced, give the same counts with none.
     x_max = 2 * 10**4
     tables = build_sieve(x_max)
     a = make_sequence(SequenceKind.ODD_PRIMES, x_max, tables=tables).terms
@@ -182,8 +185,8 @@ def test_chen_contained_pair_takes_two_transforms(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", counted)
     counts = count_series(EvaluatorKind.ODD_ODD, x_max, a, b)
     assert len(calls) == 2
-    size = x_max // 2
-    assert counts.tolist() == convolution._by_shifts(EvaluatorKind.ODD_ODD, size, a, b).tolist()
+    assert counts.tolist() == _forced("shifts", EvaluatorKind.ODD_ODD, x_max, a, b).tolist()
+    assert len(calls) == 2
 
 
 def test_a_one_term_side_runs_no_transform(monkeypatch):
@@ -209,6 +212,22 @@ def test_terms_past_x_max_are_ignored():
 def test_rejects_x_max_below_base():
     with pytest.raises(ValueError):
         count_series(EvaluatorKind.ODD_ODD, 1, np.array([1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("error", [1, -1])
+@pytest.mark.parametrize("b", [None, np.arange(3, 100, 4)])
+def test_an_odd_doubled_count_raises(monkeypatch, error, b):
+    # 2 N_AB - N_WW + delta is twice a count; an entry rounded one off makes
+    # it odd, which halving would hide (+1) or carry as one short (-1).
+    def one_off(values):
+        counts = exact_counts(values)
+        counts[7] += error
+        return counts
+
+    monkeypatch.setattr(convolution, "exact_counts", one_off)
+    terms = np.arange(1, 100, 2)
+    with pytest.raises(ResourceBudgetError, match="at 16 came out odd"):
+        _forced("transform", EvaluatorKind.ODD_ODD, 100, terms, b)
 
 
 def test_rounding_guard_raises_off_integer_values():
