@@ -39,33 +39,34 @@ class Mutant:
 
 _ORACLE = "src/addrep/oracle.py"
 _ORACLE_TESTS = (
-    "tests/test_oracle.py::test_brute_series_equals_brute_count_at_every_block_shape",
+    "tests/test_oracle.py::test_brute_series_equals_brute_count_on_any_pair",
     "tests/test_oracle.py::test_brute_series_equals_brute_count_random",
     "tests/test_oracle.py::test_brute_series_equals_brute_count_mixed",
+    "tests/test_oracle.py::test_brute_series_partner_side_follows_membership",
 )
-_BAND = "hit[:, shared:] &= pool[shared:width] <= caps[start:stop, None]"
+_CAP = "(p if role_tagged else 2 * p)"
 
 MUTANTS = (
     Mutant(
-        "oracle: partner bits not swapped", _ORACLE,
-        "partner = code[pool] >> 1 | (code[pool] & 1) << 1",
-        "partner = code[pool]",
+        "oracle: partner sides not swapped", _ORACLE,
+        "wanted = in_b if in_a[p] else in_a",
+        "wanted = in_a if in_a[p] else in_b",
         _ORACLE_TESTS,
     ),
     Mutant(
-        "oracle: role-tagged partner on bit 0", _ORACLE,
-        "partner = np.full(len(pool), 2, dtype=np.uint8)",
-        "partner = np.full(len(pool), 1, dtype=np.uint8)",
+        "oracle: role-tagged partner set is A", _ORACLE,
+        "            wanted = in_b\n",
+        "            wanted = in_a\n",
         _ORACLE_TESTS,
     ),
     Mutant(
-        "oracle: band mask dropped", _ORACLE,
-        _BAND, "pass",
+        "oracle: unordered cap one target late", _ORACLE,
+        _CAP, "(p if role_tagged else 2 * p + 2)",
         _ORACLE_TESTS,
     ),
     Mutant(
-        "oracle: band starts one candidate late", _ORACLE,
-        _BAND, "hit[:, shared + 1:] &= pool[shared + 1:width] <= caps[start:stop, None]",
+        "oracle: role-tagged cap one target late", _ORACLE,
+        _CAP, "(p + 2 if role_tagged else 2 * p)",
         _ORACLE_TESTS,
     ),
     Mutant(

@@ -173,6 +173,8 @@ class ProblemSpec:
         """
         if n_max < self.n_start:
             raise ValueError(f"n_max must be >= {self.n_start}")
+        if route not in ("engine", "recursion", "oracle"):
+            raise ValueError(f"unknown route {route!r}")
         x_max = self.x_of_n(n_max)
         tables = ensure_tables(tables, x_max) if self.sieved else None
         totals = 0
@@ -192,13 +194,11 @@ class ProblemSpec:
                 # equal-sequence formula: one capped sum per step, not three.
                 formula = Formula.EQUAL if seq_b is seq_a else Formula.GENERAL
                 values = RecursionEvaluator(kind, seq_a, seq_b, formula).run_to(x_max).values
-            elif route == "oracle":
+            else:
                 values = brute_count_series(
                     seq_a, seq_b, x_max,
                     role_tagged=kind is EvaluatorKind.EVEN_ODD, base=_BASES[kind],
                 ).values
-            else:
-                raise ValueError(f"unknown route {route!r}")
             # Every route's series starts at the kind's base and steps by 2.
             offset, off_lattice = divmod(self.x_of_n(self.n_start) - _BASES[kind], 2)
             stride, off_stride = divmod(self.x_step, 2)

@@ -23,10 +23,8 @@ import numpy as np
 from .applications import PROBLEMS, ProblemSpec, custom_problem
 from .errors import (
     AddrepError,
-    ContainmentError,
     LimitExceededError,
     LimitMismatchError,
-    ParityMismatchError,
     SequenceFormatError,
 )
 from .recursion import EvaluatorKind
@@ -390,14 +388,9 @@ def main(argv=None) -> int:
         # MemoryError covers ResourceBudgetError and numpy's failed allocations.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        CliUsageError,
-        SequenceFormatError,
-        ParityMismatchError,
-        ContainmentError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliUsageError, ValueError, OSError) as exc:
+        # ValueError covers SequenceFormatError, ParityMismatchError and
+        # ContainmentError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,13 +2,13 @@
 
 Deliberately naive ground truth: every candidate pair is enumerated and
 both memberships are re-checked, so a recursion or convolution bug cannot
-hide here.  ``brute_count_series`` gives each integer a one-byte code of
-its memberships and lays the pairs out in numpy blocks of targets against
-candidate terms, one byte per pair.  ``brute_count`` lists one target's
-pairs in plain Python and shares no code with the series route; the
-benchmark gate (``perfbench/gate.py``) checks outputs with it.  No prefix
-table, FFT or recursion step is used.  Pure functions over immutable
-inputs.
+hide here.  ``brute_count_series`` takes the candidate terms in turn; a
+candidate's partners over all the targets it takes part in are one
+strided slice of membership flags, added to those targets' counts.
+``brute_count`` lists one target's pairs in plain Python and shares no
+code with the series route; the benchmark gate (``perfbench/gate.py``)
+checks outputs with it.  No prefix table, FFT or recursion step is used.
+Pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LimitExceededError
 from .recursion import CountSeries
 from .sequences import Parity, ParitySequence
-
-# Cells (targets x candidate terms) laid out at once by brute_count_series:
-# 2^16 keeps each block's one-byte codes at 64 KB whatever the series length.
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,16 +91,12 @@ def brute_count_series(
     """Counts for every target base, base+2, ..., x_max by plain enumeration.
 
     The candidates p are seq_a's terms (role-tagged) or the union of both
-    sequences' terms; a target x takes those with p <= x (role-tagged) or
-    p <= x // 2 and re-checks q = x - p as ``brute_count`` does.
-
-    Each integer up to x_max has a code, bit 0 for seq_a and bit 1 for
-    seq_b, and each candidate the bit its partner must carry.  A block of
-    consecutive targets is a slice of rows of a window over the reversed
-    codes; one column gather reads code[x - p] for every cell, and a cell
-    counts when it holds the partner's bit and p is within x's cap.  Caps
-    rise along a block, so only the band of candidates between its first
-    and last cap needs a mask.
+    sequences' terms, in ascending order; a target x takes those with
+    p <= x (role-tagged) or p <= x // 2 and re-checks q = x - p as
+    ``brute_count`` does.  For each candidate the memberships of its
+    partners q, one per target from the first whose cap reaches p, are
+    one strided slice of membership flags, added to those targets'
+    counts.
     """
     if base is None:
         base = _default_base(seq_a, seq_b, role_tagged)
@@ -117,36 +108,24 @@ def brute_count_series(
         )
     in_a = _members(seq_a, x_max)
     in_b = _members(seq_b, x_max)
-    code = in_a.view(np.uint8) | in_b.view(np.uint8) << 1
-    pool = np.flatnonzero(in_a if role_tagged else code)
-    # The bit q = x - p must carry: seq_b's when role-tagged, else p's two
-    # bits swapped (p in seq_a wants q in seq_b, p in seq_b wants q in seq_a).
-    if role_tagged:
-        partner = np.full(len(pool), 2, dtype=np.uint8)
-    else:
-        partner = code[pool] >> 1 | (code[pool] & 1) << 1
-    # Row x_max - x of the window reads code[x - p] in column p: the codes
-    # reversed, then zeros, so that a q below 0 reads as absent.
-    reversed_codes = np.zeros(2 * x_max + 1 - base, dtype=np.uint8)
-    reversed_codes[: x_max + 1] = code[::-1]
-    window = sliding_window_view(reversed_codes, x_max + 1)
-    targets = np.arange(base, x_max + 1, 2)
-    caps = targets if role_tagged else targets // 2
-    taken = pool.searchsorted(caps, side="right")
-    rows = max(1, _BLOCK_CELLS // max(len(pool), 1))
-    values: list[int] = []
-    for start in range(0, len(targets), rows):
-        stop = min(start + rows, len(targets))
-        shared, width = taken[start], taken[stop - 1]
-        last_row = x_max - targets[stop - 1]
-        cells = window[last_row : last_row + 2 * (stop - start) - 1 : 2][::-1]
-        cells = cells[:, pool[:width]]
-        cells &= partner[:width]
-        hit = cells.astype(bool)
-        # Every row takes the candidates up to the block's first cap.
-        hit[:, shared:] &= pool[shared:width] <= caps[start:stop, None]
-        values.extend(np.add.reduce(hit, axis=1, dtype=np.int64).tolist())
-    return CountSeries(base, values)
+    either = in_a | in_b
+    counts = np.zeros((x_max - base) // 2 + 1, dtype=np.int64)
+    for p in np.flatnonzero(in_a if role_tagged else either).tolist():
+        # q must be in seq_b when role-tagged; otherwise on the other side
+        # from p: seq_b for p in seq_a, seq_a for p in seq_b, either for both.
+        if role_tagged:
+            wanted = in_b
+        elif in_a[p] and in_b[p]:
+            wanted = either
+        else:
+            wanted = in_b if in_a[p] else in_a
+        # The first target whose cap reaches p: x >= p role-tagged, else x >= 2p.
+        first = max(0, (p if role_tagged else 2 * p) - base + 1) // 2
+        if first >= len(counts):
+            break
+        x_first = base + 2 * first
+        counts[first:] += wanted[x_first - p : x_max - p + 1 : 2]
+    return CountSeries(base, counts.tolist())
 
 
 def _members(seq: ParitySequence, x_max: int) -> np.ndarray:

@@ -216,6 +216,16 @@ def test_custom_routes_refuse_targets_past_the_sequences(route):
         spec.counts(25, route)  # target 52
 
 
+def test_an_unknown_route_fails_before_any_table(monkeypatch):
+    built = []
+    ensure_tables = applications.ensure_tables
+    monkeypatch.setattr(applications, "ensure_tables",
+                        lambda *args: built.append(args) or ensure_tables(*args))
+    with pytest.raises(ValueError, match="unknown route 'typo'"):
+        PROBLEMS["chen-total"].counts(10**4, "typo")
+    assert built == []
+
+
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_first_terms_agree_on_every_route(name, offset):

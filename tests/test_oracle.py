@@ -1,12 +1,10 @@
 import random
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addrep import oracle
 from addrep.applications import PROBLEMS
 from addrep.errors import LimitExceededError
 from addrep.oracle import (
@@ -97,7 +95,7 @@ def _assert_series_is_per_target(a, b, x_max, role_tagged, base):
 @pytest.mark.parametrize("seed", range(8))
 def test_brute_series_equals_brute_count_random(kind, seed):
     # Odd and even limits; x_max at or below the limit, so terms past
-    # x_max occur; a wide range of pool sizes and so of block shapes.
+    # x_max occur; a wide range of pool sizes.
     rng = random.Random(1000 * seed + len(kind.value))
     base = _BASES[kind]
     limit = rng.randint(base, 400)
@@ -154,8 +152,8 @@ def test_brute_series_equals_brute_count_on_oracle_pairs(problem, part):
 
 
 @st.composite
-def _series_cases(draw):
-    """A pair of sequences of any parities, with a base, a role and an x_max.
+def _series_cases(draw, role_tagged):
+    """A pair of sequences of any parities, with a base and an x_max.
 
     Terms reach past x_max up to the limit; even and mixed sequences may
     hold 0, and any sequence may be empty.
@@ -173,24 +171,33 @@ def _series_cases(draw):
         terms = draw(st.sets(st.sampled_from(allowed))) if allowed else set()
         return ParitySequence(sorted(terms), parity, limit)
 
-    return sequence(), sequence(), x_max, draw(st.booleans()), base
+    return sequence(), sequence(), x_max, role_tagged, base
 
 
-@pytest.mark.parametrize("cells", [1, 7, oracle._BLOCK_CELLS])
-@settings(max_examples=150, deadline=None)
-@given(case=_series_cases())
-def test_brute_series_equals_brute_count_at_every_block_shape(cells, case):
-    # One cell per block leaves one row, and so one cap, per block: the band
-    # is empty.  Seven cells give blocks of a few rows whose band holds some
-    # candidates or none; the default takes every row in one block here.
-    a, b, x_max, role_tagged, base = case
-    with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
-        _assert_series_is_per_target(a, b, x_max, role_tagged, base)
+# The loop picks each candidate's partner set by role: seq_b when
+# role-tagged, else the side opposite the candidate's own.
+@pytest.mark.parametrize("role_tagged", [False, True])
+@settings(max_examples=225, deadline=None)
+@given(data=st.data())
+def test_brute_series_equals_brute_count_on_any_pair(role_tagged, data):
+    case = data.draw(_series_cases(role_tagged))
+    _assert_series_is_per_target(*case)
+
+
+def test_brute_series_partner_side_follows_membership():
+    # 3 is only in a, 7 only in b, 5 in both: 3 + 3 and 7 + 7 have no
+    # pair across the sides, 5 + 5 has one.
+    a = ParitySequence([3, 5], Parity.ODD, 14)
+    b = ParitySequence([5, 7], Parity.ODD, 14)
+    series = brute_count_series(a, b, 14)
+    assert series.values == [0, 0, 0, 1, 2, 1, 0]
+    _assert_series_is_per_target(a, b, 14, False, 2)
 
 
 def test_brute_series_working_set_is_bounded():
     # A grid of every target against every candidate would take about
-    # 27 MB here; the blocked enumeration stays near 0.6 MB.
+    # 27 MB here; the series needs only the flags and the counts, near
+    # 0.3 MB.
     seq = make_sequence(SequenceKind.ODD_PRIMES, 20_000)
     tracemalloc.start()
     try:
