@@ -112,15 +112,15 @@ MUTANTS = (
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
-        "convolution: subset route always taken", "src/addrep/convolution.py",
-        "w = a if in_b.all() else a[in_b]",
-        "w = a if True else a[in_b]",
+        "sequences: subset route always taken", "src/addrep/sequences.py",
+        "return a if held.all() else a[held]",
+        "return a if True else a[held]",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
-        "convolution: subset route never taken", "src/addrep/convolution.py",
-        "w = a if in_b.all() else a[in_b]",
-        "w = a if False else a[in_b]",
+        "sequences: subset route never taken", "src/addrep/sequences.py",
+        "return a if held.all() else a[held]",
+        "return a if False else a[held]",
         ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
     ),
     Mutant(
@@ -148,16 +148,30 @@ MUTANTS = (
         ("tests/test_convolution.py::test_an_odd_doubled_count_raises",),
     ),
     Mutant(
-        "recursion: subset formula shares B, not A", "src/addrep/recursion.py",
-        "self.seq_w, self._w = seq_a, self._a",
-        "self.seq_w, self._w = seq_b, self._b",
-        ("tests/test_recursion.py::test_corollary_consistency_random",),
+        # The subset formula's own tests run on the same tables; the engine's
+        # test checks them against the transforms and the oracle.
+        "recursion: W's table is B's", "src/addrep/recursion.py",
+        "else self._a if seq_w is seq_a",
+        "else self._b if seq_w is seq_a",
+        ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
         "recursion: even-odd takes A as its shared part", "src/addrep/recursion.py",
-        "self.seq_w = self._w = None",
-        "self.seq_w, self._w = seq_a, self._a",
+        "seq_w = None if kind is EvaluatorKind.EVEN_ODD else",
+        "seq_w = seq_a if kind is EvaluatorKind.EVEN_ODD else",
         ("tests/test_recursion.py::test_matches_oracle_randomized",),
+    ),
+    Mutant(
+        "recursion: B shares A's table when their limits match", "src/addrep/recursion.py",
+        "self._a if seq_b == seq_a else",
+        "self._a if seq_b.limit == seq_a.limit else",
+        ("tests/test_recursion.py::test_matches_oracle_randomized",),
+    ),
+    Mutant(
+        "recursion: the subset claim goes unchecked", "src/addrep/recursion.py",
+        "if formula is Formula.SUBSET and seq_w is not seq_a:",
+        "if False:",
+        ("tests/test_recursion.py::test_subset_violation_and_equal_violation",),
     ),
     Mutant(
         # Both caps give every count right; only the cap itself is pinned.
@@ -187,8 +201,8 @@ MUTANTS = (
     ),
     Mutant(
         "sequences: block check without first <= last", "src/addrep/sequences.py",
-        "if 0 <= first <= int(block[-1]) <= limit and",
-        "if 0 <= first and int(block[-1]) <= limit and",
+        "if 0 <= first <= int(block[-1]) <= top and",
+        "if 0 <= first and int(block[-1]) <= top and",
         ("tests/test_sequences.py::test_validation_in_blocks_names_the_first_bad_term",),
     ),
 )

@@ -339,8 +339,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def skipped(route, n):
         return route == "oracle" and spec.x_of_n(n) > args.oracle_cap
 
-    # One untimed call per route first, so that one-off setup (numpy's FFT
-    # plans, first allocations) stays out of the first row.
+    # One small transform (importing numpy.fft) and one untimed call per route
+    # first, so that one-off setup stays out of the first row.
+    np.fft.rfft(np.ones(2))
     for route in routes:
         if not skipped(route, steps[0]):
             spec.counts(steps[0], route, spec.sieve(steps[0], args.limit))

@@ -6,9 +6,9 @@ series costs one O(K log K) convolution for K targets.  ``EVEN_ODD``
 (roles fixed by parity) counts ``N_AB``; the unordered kinds count
 ``(2 N_AB - N_WW + delta) / 2`` with ``W = A & B`` and ``delta(x) =
 [x/2 in W]``, the step formula's correction for shared terms.
-``count_series`` finds W once (``W = A`` for equal sequences and for A
-within B), has a route return ``N_AB`` or ``2 N_AB - N_WW`` exactly, then
-adds delta and halves, refusing a doubled count that came out odd.
+``count_series`` finds W once by ``shared_terms`` (A itself for equal
+sequences and A within B), has a route return ``N_AB`` or ``2 N_AB -
+N_WW`` exactly, then adds delta and halves, refusing an odd doubled count.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the recursion's bases.  Float results not within
@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .recursion import _BASES, EvaluatorKind
+from .sequences import shared_terms
 
 
 # The two routes' costs in units of one entry of a shifted add.  Measured
@@ -94,12 +95,7 @@ def count_series(
     # Views of the terms whose index t // 2 is below size.
     a = a[: np.searchsorted(a, 2 * size)]
     b = None if b is None else b[: np.searchsorted(b, 2 * size)]
-    w = None if kind is EvaluatorKind.EVEN_ODD else a  # W, the terms A and B share
-    if b is not None and w is not None:
-        in_b = np.zeros(size, dtype=bool)
-        in_b[b // 2] = True
-        in_b = in_b[a // 2]  # a gather, where np.isin would sort both
-        w = a if in_b.all() else a[in_b]
+    w = None if kind is EvaluatorKind.EVEN_ODD else a if b is None else shared_terms(a, b)
     length = fast_length(2 * size - 1)
     transforms = 2 if b is None else 3 if w is None or w is a else 4
     short = len(a) if b is None else min(len(a), len(b))

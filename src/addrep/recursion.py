@@ -26,9 +26,10 @@ O(N * #terms <= N/2) entries of int64 tables of S(x), x = 0..limit (8 B
 per target per distinct sequence), each sum in the table's own dtype, so
 no gather is cast; an evaluator builds its own tables.
 
-W is A and B's intersection, or A when A lies in B (``SUBSET``, or A paired
-with itself), which needs no third table; even-odd has none, since parity
-keeps its roles apart.  ``EQUAL``, for two equal sequences, is the
+W is A and B's intersection (``sequences.shared_terms``): A itself when A
+lies in B, and then it shares A's table, as B does when it equals A.
+Even-odd has none, since parity keeps its roles apart.  ``SUBSET`` claims
+W = A and is refused otherwise; ``EQUAL``, for two equal sequences, is the
 theorem's corollary: one sum, with the general formula's values.
 
 Evaluators are single-owner mutable state: safe to hand between threads,
@@ -162,34 +163,30 @@ class RecursionEvaluator:
             raise LimitExceededError(
                 f"limit {seq_a.limit} is below the base argument {base}"
             )
-        if formula is not Formula.GENERAL:
-            if kind is EvaluatorKind.EVEN_ODD:
-                raise ContainmentError(
-                    "even-odd sequences are disjoint by parity; "
-                    "no subset or equal shortcut exists"
-                )
-            if formula is Formula.SUBSET and not seq_a.is_subset_of(seq_b):
-                raise ContainmentError("first sequence is not contained in the second")
-            if formula is Formula.EQUAL and seq_a != seq_b:
-                raise ContainmentError("sequences are not equal")
+        if formula is not Formula.GENERAL and kind is EvaluatorKind.EVEN_ODD:
+            raise ContainmentError(
+                "even-odd sequences are disjoint by parity; no subset or equal shortcut exists"
+            )
+        if formula is Formula.EQUAL and seq_a != seq_b:
+            raise ContainmentError("sequences are not equal")
+        # W is none for even-odd, else A & B: seq_a itself when A lies in B.
+        seq_w = None if kind is EvaluatorKind.EVEN_ODD else intersect(seq_a, seq_b)
+        if formula is Formula.SUBSET and seq_w is not seq_a:
+            raise ContainmentError("first sequence is not contained in the second")
 
         self.kind = kind
         self.formula = formula
         self.seq_a = seq_a
         self.seq_b = seq_b
-        # (terms, prefix table) per role; equal sequences share one table.
+        self.seq_w = seq_w
+        # (terms, prefix table) per role; B and W take A's when they are A.
         self._a = (seq_a.terms, _prefix_table(seq_a))
-        same = seq_b is seq_a or formula is Formula.EQUAL
-        self._b = self._a if same else (seq_b.terms, _prefix_table(seq_b))
-        # The shared part W: none when parity keeps the roles apart, seq_a
-        # when it lies in seq_b (no third table), else the intersection.
-        if kind is EvaluatorKind.EVEN_ODD:
-            self.seq_w = self._w = None
-        elif same or formula is Formula.SUBSET:
-            self.seq_w, self._w = seq_a, self._a
-        else:
-            self.seq_w = intersect(seq_a, seq_b)
-            self._w = (self.seq_w.terms, _prefix_table(self.seq_w))
+        self._b = self._a if seq_b == seq_a else (seq_b.terms, _prefix_table(seq_b))
+        self._w = (
+            None if seq_w is None
+            else self._a if seq_w is seq_a
+            else (seq_w.terms, _prefix_table(seq_w))
+        )
         self._step = self._step_equal if formula is Formula.EQUAL else self._step_general
 
         first = base // 2  # 2 = 1 + 1, 0 = 0 + 0, 1 = 0 + 1

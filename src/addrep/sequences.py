@@ -135,13 +135,6 @@ class ParitySequence:
 
     __contains__ = contains
 
-    def is_subset_of(self, other: "ParitySequence") -> bool:
-        if self.limit > other.limit:
-            raise LimitMismatchError(
-                "subset scan needs the other sequence known at least as far"
-            )
-        return bool(np.isin(self.terms, other.terms, assume_unique=True).all())
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -205,6 +198,7 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
     bad term whatever the block size.  The temporaries stay a few hundred
     kB at any length.
     """
+    top = min(limit, np.iinfo(np.int64).max)  # terms are kept as int64
     want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
     buf = np.empty(min(len(terms), _CHECK_BLOCK), dtype=np.int64)
     for start in range(0, len(terms), _CHECK_BLOCK):
@@ -212,13 +206,13 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
         block = terms[lo : start + _CHECK_BLOCK]
         gaps = np.subtract(block[1:], block[:-1], out=buf[: len(block) - 1], dtype=np.int64)
         first = int(block[0])
-        if 0 <= first <= int(block[-1]) <= limit and (not gaps.size or gaps.min() > 0):
+        if 0 <= first <= int(block[-1]) <= top and (not gaps.size or gaps.min() > 0):
             spread = int(np.bitwise_or.reduce(gaps))
             if spread < _GAP_BOUND and (
                 want is None or (first & 1 == want and not spread & 1)
             ):
                 continue
-        bad = (block < 0) | (block > limit)
+        bad = (block < 0) | (block > top)
         bad[1:] |= block[1:] <= block[:-1]
         if want is not None:
             bad |= (block & 1) != want
@@ -236,6 +230,8 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
         )
     if t > limit:
         raise LimitExceededError(f"term {t} lies beyond limit {limit}")
+    if t > top:
+        raise SequenceFormatError(f"term {t} beyond int64")
     other = "even" if parity is Parity.ODD else "odd"
     raise ParityMismatchError(f"{other} term {t} in an {parity.value} sequence")
 
@@ -485,17 +481,25 @@ def _custom_sequence(terms, parity: Parity | None, limit: int) -> ParitySequence
     return seq
 
 
+def shared_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The terms of sorted ``a`` that sorted ``b`` holds too: ``a`` itself,
+    not a copy, when ``b`` holds all of them, so callers can tell by identity."""
+    # np.isin rather than np.intersect1d, which imports numpy.ma.
+    held = np.isin(a, b, assume_unique=True)
+    return a if held.all() else a[held]
+
+
 def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:
-    """The terms two sequences of the same parity and limit share."""
+    """The terms two sequences of the same parity and limit share: ``a``
+    itself when ``b`` holds all of them, else a new sequence."""
     if a.parity is not b.parity:
         raise ParityMismatchError(
             f"cannot intersect {a.parity.value} with {b.parity.value}"
         )
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
-    # np.isin rather than np.intersect1d, which imports numpy.ma.
-    common = a.terms[np.isin(a.terms, b.terms, assume_unique=True)]
-    return ParitySequence(common, a.parity, a.limit)
+    common = shared_terms(a.terms, b.terms)
+    return a if common is a.terms else ParitySequence(common, a.parity, a.limit)
 
 
 def load_sequence(path, limit: int | None = None) -> ParitySequence:

@@ -405,6 +405,24 @@ def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):
         assert timed[0] == 1, route
 
 
+def test_bench_loads_the_fft_module_before_its_first_timed_row():
+    # The first rows take the engine's shifts route, so a module loaded at
+    # the first transform would land in a later row's time.
+    script = (
+        "import sys, time\n"
+        "from addrep.cli import main\n"
+        "clock, loaded = time.perf_counter, []\n"
+        "def spy():\n"
+        "    loaded.append('numpy.fft' in sys.modules)\n"
+        "    return clock()\n"
+        "time.perf_counter = spy\n"
+        "code = main(['bench', '--problem', 'goldbach', '--n-max', '40'])\n"
+        "print(code, loaded[0], file=sys.stderr)\n"
+    )
+    done = _run_python("-c", script)
+    assert done.stderr.decode().split() == ["0", "True"], done.stderr
+
+
 def test_bench_builds_its_sieves_under_the_limit(monkeypatch, capsys):
     import addrep.applications as applications
     import addrep.sequences as sequences

@@ -366,12 +366,14 @@ def test_one_prefix_table_per_distinct_sequence():
         "copy": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy),
         "equal": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy, Formula.EQUAL),
         "subset": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen, Formula.SUBSET),
+        "contained": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen),
     }
     tables = {
         name: len({id(ev._a[1]), id(ev._b[1]), id(ev._w[1])})
         for name, ev in evaluators.items()
     }
-    assert tables == {"self": 1, "copy": 3, "equal": 1, "subset": 2}
+    assert tables == {"self": 1, "copy": 1, "equal": 1, "subset": 2, "contained": 2}
+    assert evaluators["contained"].seq_w is evaluators["contained"].seq_a
     want = evaluators["copy"].run_to(200).values
     assert evaluators["self"].run_to(200).values == want
     assert evaluators["equal"].run_to(200).values == want

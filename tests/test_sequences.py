@@ -318,6 +318,11 @@ def test_terms_are_one_read_only_array():
         ([2, 3, 3], Parity.MIXED, 10, SequenceFormatError, "got 3 after 3"),
         (np.array([[1, 3]]), Parity.ODD, 10, SequenceFormatError, "flat sequence"),
         (np.array([1.0, 3.0]), Parity.ODD, 10, SequenceFormatError, "integers"),
+        (np.array([2, 2**63], dtype=np.uint64), Parity.EVEN, 2**63, SequenceFormatError,
+         "term 9223372036854775808 beyond int64"),
+        # Small gaps: the block passes every test but the int64 bound.
+        (np.array([2**63 + 1, 2**63 + 3], dtype=np.uint64), Parity.ODD, 2**64,
+         SequenceFormatError, "term 9223372036854775809 beyond int64"),
     ],
 )
 def test_validation_names_the_first_bad_term(terms, parity, limit, error, message):
@@ -608,6 +613,11 @@ def test_intersect_examples():
     t = ParitySequence([5, 7, 9], Parity.ODD, 10)
     assert list(intersect(s, t).terms) == [5, 7]
     assert intersect(s, s) == s
+    # A contained sequence is its own intersection, not a copy.
+    within = ParitySequence([5, 7], Parity.ODD, 10)
+    assert intersect(within, t) is within
+    fresh = intersect(t, within)
+    assert fresh == within and fresh is not within and fresh is not t
 
 
 def test_intersect_odd_primes_odd_squares_empty():
