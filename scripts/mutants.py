@@ -45,6 +45,11 @@ _ORACLE_TESTS = (
     "tests/test_oracle.py::test_brute_series_partner_side_follows_membership",
 )
 _CAP = "(p if role_tagged else 2 * p)"
+_SEQUENCES = "src/addrep/sequences.py"
+_BLOCK_TESTS = (
+    "tests/test_sequences.py::test_validation_matches_a_per_term_mask_scan",
+    "tests/test_sequences.py::test_validation_in_blocks_names_the_first_bad_term",
+)
 
 MUTANTS = (
     Mutant(
@@ -113,14 +118,14 @@ MUTANTS = (
     ),
     Mutant(
         "sequences: subset route always taken", "src/addrep/sequences.py",
-        "return a if held.all() else a[held]",
-        "return a if True else a[held]",
+        "return a if held.all() else",
+        "return a if True else",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
         "sequences: subset route never taken", "src/addrep/sequences.py",
-        "return a if held.all() else a[held]",
-        "return a if False else a[held]",
+        "return a if held.all() else",
+        "return a if False else",
         ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
     ),
     Mutant(
@@ -200,10 +205,52 @@ MUTANTS = (
          "tests/test_sequences.py::test_odd_semiprime_terms_match_factorization"),
     ),
     Mutant(
-        "sequences: block check without first <= last", "src/addrep/sequences.py",
-        "if 0 <= first <= int(block[-1]) <= top and",
-        "if 0 <= first and int(block[-1]) <= top and",
+        "sequences: blocks skip the pair across their boundary", _SEQUENCES,
+        "lo = max(start - 1, 0)",
+        "lo = start",
         ("tests/test_sequences.py::test_validation_in_blocks_names_the_first_bad_term",),
+    ),
+    Mutant(
+        "sequences: block check takes equal neighbours", _SEQUENCES,
+        "(block[1:] > block[:-1]).all()",
+        "(block[1:] >= block[:-1]).all()",
+        _BLOCK_TESTS,
+    ),
+    Mutant(
+        "sequences: block check's parity reduces swapped", _SEQUENCES,
+        "np.bitwise_and.reduce if want else np.bitwise_or.reduce",
+        "np.bitwise_or.reduce if want else np.bitwise_and.reduce",
+        _BLOCK_TESTS,
+    ),
+    Mutant(
+        "sequences: block check without 0 <= first", _SEQUENCES,
+        "(0 <= int(block[0]) and int(block[-1]) <= top and",
+        "(int(block[-1]) <= top and",
+        _BLOCK_TESTS,
+    ),
+    Mutant(
+        "sequences: block check without last <= top", _SEQUENCES,
+        "0 <= int(block[0]) and int(block[-1]) <= top and (block",
+        "0 <= int(block[0]) and (block",
+        _BLOCK_TESTS,
+    ),
+    Mutant(
+        "sequences: iterable terms truncated to integers", _SEQUENCES,
+        "np.fromiter(map(operator.index, terms), dtype=np.int64)",
+        "np.fromiter(terms, dtype=np.int64)",
+        ("tests/test_sequences.py::test_validation_names_the_first_bad_term",),
+    ),
+    Mutant(
+        "sequences: B within A not recognised", _SEQUENCES,
+        "else b if np.count_nonzero(held) == len(b) else",
+        "else",
+        ("tests/test_recursion.py::test_one_prefix_table_per_distinct_sequence",),
+    ),
+    Mutant(
+        "convolution: B within A not swapped to A within B", "src/addrep/convolution.py",
+        "        a, b = b, a\n",
+        "        pass\n",
+        ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
     ),
 )
 

@@ -7,8 +7,9 @@ series costs one O(K log K) convolution for K targets.  ``EVEN_ODD``
 ``(2 N_AB - N_WW + delta) / 2`` with ``W = A & B`` and ``delta(x) =
 [x/2 in W]``, the step formula's correction for shared terms.
 ``count_series`` finds W once by ``shared_terms`` (A itself for equal
-sequences and A within B), has a route return ``N_AB`` or ``2 N_AB -
-N_WW`` exactly, then adds delta and halves, refusing an odd doubled count.
+sequences and A within B; B for B within A, swapped with A then), has a
+route return ``N_AB`` or ``2 N_AB - N_WW`` exactly, then adds delta and
+halves, refusing an odd doubled count.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the recursion's bases.  Float results not within
@@ -96,6 +97,8 @@ def count_series(
     a = a[: np.searchsorted(a, 2 * size)]
     b = None if b is None else b[: np.searchsorted(b, 2 * size)]
     w = None if kind is EvaluatorKind.EVEN_ODD else a if b is None else shared_terms(a, b)
+    if w is not None and w is b:  # the count is symmetric: take B within A as A within B
+        a, b = b, a
     length = fast_length(2 * size - 1)
     transforms = 2 if b is None else 3 if w is None or w is a else 4
     short = len(a) if b is None else min(len(a), len(b))

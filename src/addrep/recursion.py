@@ -26,11 +26,12 @@ O(N * #terms <= N/2) entries of int64 tables of S(x), x = 0..limit (8 B
 per target per distinct sequence), each sum in the table's own dtype, so
 no gather is cast; an evaluator builds its own tables.
 
-W is A and B's intersection (``sequences.shared_terms``): A itself when A
-lies in B, and then it shares A's table, as B does when it equals A.
-Even-odd has none, since parity keeps its roles apart.  ``SUBSET`` claims
-W = A and is refused otherwise; ``EQUAL``, for two equal sequences, is the
-theorem's corollary: one sum, with the general formula's values.
+W is A and B's intersection (``sequences.shared_terms``): A or B itself
+when it lies in the other, sharing that one's table, as B shares A's when
+it equals A.  Even-odd has none, since parity keeps its roles apart.
+``SUBSET`` claims W = A and is refused otherwise; ``EQUAL``, for two equal
+sequences, is the theorem's corollary: one sum, with the general
+formula's values.
 
 Evaluators are single-owner mutable state: safe to hand between threads,
 not to drive concurrently.  Distinct evaluators sharing the same input
@@ -169,7 +170,7 @@ class RecursionEvaluator:
             )
         if formula is Formula.EQUAL and seq_a != seq_b:
             raise ContainmentError("sequences are not equal")
-        # W is none for even-odd, else A & B: seq_a itself when A lies in B.
+        # W is none for even-odd, else A & B: seq_a or seq_b when within the other.
         seq_w = None if kind is EvaluatorKind.EVEN_ODD else intersect(seq_a, seq_b)
         if formula is Formula.SUBSET and seq_w is not seq_a:
             raise ContainmentError("first sequence is not contained in the second")
@@ -179,12 +180,13 @@ class RecursionEvaluator:
         self.seq_a = seq_a
         self.seq_b = seq_b
         self.seq_w = seq_w
-        # (terms, prefix table) per role; B and W take A's when they are A.
+        # (terms, prefix table) per role; B and W take A's when they are A, W B's when B.
         self._a = (seq_a.terms, _prefix_table(seq_a))
         self._b = self._a if seq_b == seq_a else (seq_b.terms, _prefix_table(seq_b))
         self._w = (
             None if seq_w is None
             else self._a if seq_w is seq_a
+            else self._b if seq_w is seq_b
             else (seq_w.terms, _prefix_table(seq_w))
         )
         self._step = self._step_equal if formula is Formula.EQUAL else self._step_general

@@ -3,8 +3,8 @@
 A ParitySequence materializes every term of a sequence up to a stated
 limit and answers counting queries S(x) = #{terms <= x} by binary search
 over its terms.  The ``terms`` are its only data: one read-only int64
-array, validated when the sequence is built by one numpy pass over the
-gaps of each block of terms.  The built-in kinds cover everything the
+array, validated when the sequence is built by exact numpy comparisons
+over each block of terms.  The built-in kinds cover everything the
 bundled counting problems need (odd primes, primes together with odd
 semiprimes, all primes, doubled primes, odd and even squares, pronic
 numbers, the full parity classes); arbitrary sequences can be passed as
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 import warnings
 from pathlib import Path
@@ -50,10 +51,6 @@ DEFAULT_TABLE_CAP = 50_000_000
 
 # Terms are validated this many at a time (see _check_terms).
 _CHECK_BLOCK = 1 << 16
-
-# A block whose int64 gaps all lie below this bound sums them to less than
-# 2**63, so with its last term at or above its first none of them wrapped.
-_GAP_BOUND = 2**63 // _CHECK_BLOCK
 
 # A plain sequence file is read this many bytes at a time, at least one whole
 # line, and its lines hold at most this many digits, which any int64 holds
@@ -108,8 +105,7 @@ class ParitySequence:
     __slots__ = ("terms", "parity", "limit")
 
     def __init__(self, terms, parity: Parity, limit: int):
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
+        _check_limit(limit)
         terms = _term_array(terms)
         _check_terms(terms, parity, limit)
         self.terms = terms.astype(np.int64, copy=False).view()
@@ -172,10 +168,18 @@ def check_table_budget(needed: int, cap: int) -> None:
         )
 
 
+def _check_limit(limit) -> None:
+    if not isinstance(limit, (int, np.integer)) or limit < 0:
+        raise ValueError(f"limit must be a nonnegative integer, got {limit!r}")
+
+
 def _term_array(terms) -> np.ndarray:
     """The terms as a one-dimensional integer array; arrays pass through."""
     if not isinstance(terms, np.ndarray):
-        terms = np.fromiter(terms, dtype=np.int64)
+        try:  # operator.index refuses what np.fromiter would truncate, 1.5 say
+            terms = np.fromiter(map(operator.index, terms), dtype=np.int64)
+        except (TypeError, OverflowError):
+            raise SequenceFormatError("terms must be a flat sequence of int64 integers") from None
     if terms.ndim != 1 or terms.dtype.kind not in "iu":
         raise SequenceFormatError("terms must be a flat sequence of integers")
     return terms
@@ -185,40 +189,30 @@ def _check_terms(terms: np.ndarray, parity: Parity, limit: int) -> None:
     """Raise for the first term that breaks the ParitySequence contract.
 
     The terms are checked a block of _CHECK_BLOCK at a time, each block
-    starting one term early so that its gaps include the pair across the
-    boundary.  One pass writes a block's gaps into a reused int64 buffer
-    (signed, so a decrease between unsigned terms reads negative); the
-    block is sound when the smallest gap is positive, the bitwise or of
-    the gaps is below _GAP_BOUND and, for an odd or even sequence, even,
-    and when 0 <= first <= last <= limit for its first and last terms and
-    the first has the right parity.  A gap that wrapped in int64 reads
-    2**64 more than the true one, so gaps that sum to less than 2**63
-    while last - first >= 0 include none that wrapped.  Only a block that
-    fails that test is scanned term by term, so the error names the first
-    bad term whatever the block size.  The temporaries stay a few hundred
-    kB at any length.
+    starting one term early so that its comparisons include the pair
+    across the boundary.  A block is sound when 0 <= its first term, its
+    last term <= min(limit, int64 max), each term is greater than the one
+    before and, for an odd or even sequence, the bitwise and (odd) or or
+    (even) of its terms has the right low bit.  The tests compare terms in
+    their own dtype and subtract none, so none can wrap.  Only a block that
+    fails is scanned term by term, so the error names the first bad term
+    whatever the block size.  The temporaries stay a few hundred kB.
     """
     top = min(limit, np.iinfo(np.int64).max)  # terms are kept as int64
     want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
-    buf = np.empty(min(len(terms), _CHECK_BLOCK), dtype=np.int64)
+    reduce = np.bitwise_and.reduce if want else np.bitwise_or.reduce
     for start in range(0, len(terms), _CHECK_BLOCK):
         lo = max(start - 1, 0)
         block = terms[lo : start + _CHECK_BLOCK]
-        gaps = np.subtract(block[1:], block[:-1], out=buf[: len(block) - 1], dtype=np.int64)
-        first = int(block[0])
-        if 0 <= first <= int(block[-1]) <= top and (not gaps.size or gaps.min() > 0):
-            spread = int(np.bitwise_or.reduce(gaps))
-            if spread < _GAP_BOUND and (
-                want is None or (first & 1 == want and not spread & 1)
-            ):
-                continue
+        if (0 <= int(block[0]) and int(block[-1]) <= top and (block[1:] > block[:-1]).all()
+                and (want is None or int(reduce(block)) & 1 == want)):
+            continue
         bad = (block < 0) | (block > top)
         bad[1:] |= block[1:] <= block[:-1]
         if want is not None:
             bad |= (block & 1) != want
-        if bad.any():  # gaps of _GAP_BOUND or more fail the fast test yet may be sound
-            i = lo + int(bad.argmax())
-            break
+        i = lo + int(bad.argmax())
+        break
     else:
         return
     t = int(terms[i])
@@ -266,8 +260,7 @@ def build_sieve(limit: int, cap: int = DEFAULT_TABLE_CAP) -> SieveTables:
     The flag of 1, which is no prime, stands in for 2.
     """
     check_table_budget(limit, cap)
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
+    _check_limit(limit)
     flags = _odd_prime_flags(limit)
     flags[:1] = limit >= 2
     primes = _flagged_odd_numbers(flags)
@@ -401,8 +394,7 @@ def make_sequence(
     CUSTOM.  Prime-backed kinds accept shared SieveTables via ``tables``;
     otherwise a sieve is built on the fly.
     """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
+    _check_limit(limit)
     if kind is SequenceKind.CUSTOM:
         if terms is None:
             raise SequenceFormatError("a custom sequence needs an explicit term list")
@@ -482,16 +474,16 @@ def _custom_sequence(terms, parity: Parity | None, limit: int) -> ParitySequence
 
 
 def shared_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The terms of sorted ``a`` that sorted ``b`` holds too: ``a`` itself,
-    not a copy, when ``b`` holds all of them, so callers can tell by identity."""
+    """The terms of sorted ``a`` that sorted ``b`` holds too: ``a`` or ``b``
+    itself, not a copy, when it lies in the other, so callers can tell by identity."""
     # np.isin rather than np.intersect1d, which imports numpy.ma.
     held = np.isin(a, b, assume_unique=True)
-    return a if held.all() else a[held]
+    return a if held.all() else b if np.count_nonzero(held) == len(b) else a[held]
 
 
 def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:
-    """The terms two sequences of the same parity and limit share: ``a``
-    itself when ``b`` holds all of them, else a new sequence."""
+    """The terms two sequences of the same parity and limit share: ``a`` or
+    ``b`` itself when it lies in the other, else a new sequence."""
     if a.parity is not b.parity:
         raise ParityMismatchError(
             f"cannot intersect {a.parity.value} with {b.parity.value}"
@@ -499,6 +491,8 @@ def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
     common = shared_terms(a.terms, b.terms)
+    if common is b.terms:
+        return b
     return a if common is a.terms else ParitySequence(common, a.parity, a.limit)
 
 

@@ -171,11 +171,12 @@ def test_shared_term_on_the_last_target(kind, relation):
 def test_chen_contained_pair_takes_two_transforms(monkeypatch):
     # The odd primes lie within the primes and odd semiprimes, so W = A and
     # the spectrum fa (2 fb - fa) takes two forward transforms, not three;
-    # the shifted adds, forced, give the same counts with none.
+    # the shifted adds, forced, give the same counts with none.  Given in
+    # the other order, W = B, and the symmetric count swaps the sides.
     x_max = 2 * 10**4
     tables = build_sieve(x_max)
-    a = make_sequence(SequenceKind.ODD_PRIMES, x_max, tables=tables).terms
-    b = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, x_max, tables=tables).terms
+    odd_primes = make_sequence(SequenceKind.ODD_PRIMES, x_max, tables=tables).terms
+    chen = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, x_max, tables=tables).terms
     rfft, calls = np.fft.rfft, []
 
     def counted(*args, **kwargs):
@@ -183,10 +184,12 @@ def test_chen_contained_pair_takes_two_transforms(monkeypatch):
         return rfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
-    counts = count_series(EvaluatorKind.ODD_ODD, x_max, a, b)
-    assert len(calls) == 2
-    assert counts.tolist() == _forced("shifts", EvaluatorKind.ODD_ODD, x_max, a, b).tolist()
-    assert len(calls) == 2
+    for a, b in ((odd_primes, chen), (chen, odd_primes)):
+        calls.clear()
+        counts = count_series(EvaluatorKind.ODD_ODD, x_max, a, b)
+        assert len(calls) == 2
+        assert counts.tolist() == _forced("shifts", EvaluatorKind.ODD_ODD, x_max, a, b).tolist()
+        assert len(calls) == 2
 
 
 def test_a_one_term_side_runs_no_transform(monkeypatch):

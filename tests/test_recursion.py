@@ -367,16 +367,23 @@ def test_one_prefix_table_per_distinct_sequence():
         "equal": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy, Formula.EQUAL),
         "subset": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen, Formula.SUBSET),
         "contained": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen),
+        "reversed": RecursionEvaluator(EvaluatorKind.ODD_ODD, chen, seq),
     }
     tables = {
         name: len({id(ev._a[1]), id(ev._b[1]), id(ev._w[1])})
         for name, ev in evaluators.items()
     }
-    assert tables == {"self": 1, "copy": 1, "equal": 1, "subset": 2, "contained": 2}
+    assert tables == {
+        "self": 1, "copy": 1, "equal": 1, "subset": 2, "contained": 2, "reversed": 2
+    }
     assert evaluators["contained"].seq_w is evaluators["contained"].seq_a
+    assert evaluators["reversed"].seq_w is evaluators["reversed"].seq_b
     want = evaluators["copy"].run_to(200).values
     assert evaluators["self"].run_to(200).values == want
     assert evaluators["equal"].run_to(200).values == want
+    oracle = brute_count_series(chen, seq, 200, base=2).values
+    assert evaluators["reversed"].run_to(200).values == oracle
+    assert count_series(EvaluatorKind.ODD_ODD, 200, chen.terms, seq.terms).tolist() == oracle
 
 
 def test_corollary_consistency_random():

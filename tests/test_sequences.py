@@ -323,6 +323,11 @@ def test_terms_are_one_read_only_array():
         # Small gaps: the block passes every test but the int64 bound.
         (np.array([2**63 + 1, 2**63 + 3], dtype=np.uint64), Parity.ODD, 2**64,
          SequenceFormatError, "term 9223372036854775809 beyond int64"),
+        # Iterables: a float is refused, not truncated; a term past int64 is
+        # a format error; and so is a limit that is no integer.
+        ([1.5, 3.7], Parity.ODD, 10, SequenceFormatError, "int64 integers"),
+        ([2, 2**63], Parity.EVEN, 2**63, SequenceFormatError, "int64 integers"),
+        ([1, 3], Parity.ODD, 5.5, ValueError, "nonnegative integer, got 5.5"),
     ],
 )
 def test_validation_names_the_first_bad_term(terms, parity, limit, error, message):
@@ -370,11 +375,12 @@ def test_validation_in_blocks_names_the_first_bad_term(
 
 def _mask_scan(terms, parity, limit, block):
     """The reference check: a per-term mask over each block, no fast test."""
+    top = min(limit, 2**63 - 1)
     want = None if parity is Parity.MIXED else int(parity is Parity.ODD)
     for start in range(0, len(terms), block):
         lo = max(start - 1, 0)
         chunk = terms[lo : start + block]
-        bad = (chunk < 0) | (chunk > limit)
+        bad = (chunk < 0) | (chunk > top)
         bad[1:] |= chunk[1:] <= chunk[:-1]
         if want is not None:
             bad |= (chunk & 1) != want
@@ -392,6 +398,8 @@ def _mask_scan(terms, parity, limit, block):
         )
     if t > limit:
         raise LimitExceededError(f"term {t} lies beyond limit {limit}")
+    if t > top:
+        raise SequenceFormatError(f"term {t} beyond int64")
     other = "even" if parity is Parity.ODD else "odd"
     raise ParityMismatchError(f"{other} term {t} in an {parity.value} sequence")
 
@@ -440,6 +448,49 @@ def test_validation_matches_a_per_term_mask_scan(monkeypatch, block, dtype):
         expected = _outcome(_mask_scan, terms, parity, 40, block)
         assert _outcome(sequences._check_terms, terms, parity, 40) == expected, (
             terms, parity)
+
+
+_EXTREMES = (-(2**63), -(2**63) + 1, -(2**63) + 2, -3, -1, 0, 1, 2, 3,
+             2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**63 + 3,
+             2**64 - 3, 2**64 - 2, 2**64 - 1)
+
+
+def _extreme_terms(rng, dtype, parity):
+    """Up to 8 terms near dtype's ends, near 2^63, near 0 or anywhere in
+    its range, negative ones in some draws only; sorted or not, and with the
+    parity forced or not."""
+    info = np.iinfo(dtype)
+    lowest = info.min if rng.random() < 0.4 else 0
+    pool = [v for v in _EXTREMES if lowest <= v <= info.max]
+    terms = [
+        rng.choice(pool) if rng.random() < 0.5
+        else rng.randint(0, 40) if rng.random() < 0.8
+        else rng.randint(lowest, info.max)
+        for _ in range(rng.randint(0, 8))
+    ]
+    if parity is not Parity.MIXED and rng.random() < 0.7:
+        terms = [t | 1 if parity is Parity.ODD else t & ~1 for t in terms]
+    if rng.random() < 0.7:
+        terms = sorted(set(terms) if rng.random() < 0.7 else terms)
+    return np.array(terms, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, sequences._CHECK_BLOCK])
+def test_validation_matches_a_per_term_mask_scan_at_the_int64_extremes(
+    monkeypatch, block, dtype
+):
+    # Terms whose differences wrap in int64 or uint64, under limits on both
+    # sides of int64's maximum.
+    monkeypatch.setattr(sequences, "_CHECK_BLOCK", block)
+    rng = random.Random(f"{block}{np.dtype(dtype).name}")
+    for _ in range(600):
+        parity = rng.choice(list(Parity))
+        limit = rng.choice([40, 2**63 - 1, 2**63 + 2, 2**64])
+        terms = _extreme_terms(rng, dtype, parity)
+        expected = _outcome(_mask_scan, terms, parity, limit, block)
+        assert _outcome(sequences._check_terms, terms, parity, limit) == expected, (
+            terms, parity, limit)
 
 
 def test_validation_allocates_no_full_size_temporaries():
@@ -520,6 +571,7 @@ def test_custom_sequence_checks_its_terms_once():
     ([1, 2], Parity.EVEN, SequenceFormatError, "mixes"),
     ([1, 3], Parity.EVEN, ParityMismatchError, "terms are odd but parity even"),
     ([], None, SequenceFormatError, "explicit parity"),
+    ([1.5, 3.7], None, SequenceFormatError, "int64 integers"),
 ])
 def test_custom_sequence_errors(terms, parity, error, match):
     with pytest.raises(error, match=match):
@@ -616,8 +668,7 @@ def test_intersect_examples():
     # A contained sequence is its own intersection, not a copy.
     within = ParitySequence([5, 7], Parity.ODD, 10)
     assert intersect(within, t) is within
-    fresh = intersect(t, within)
-    assert fresh == within and fresh is not within and fresh is not t
+    assert intersect(t, within) is within
 
 
 def test_intersect_odd_primes_odd_squares_empty():
