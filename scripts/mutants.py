@@ -174,9 +174,16 @@ MUTANTS = (
     ),
     Mutant(
         "recursion: the subset claim goes unchecked", "src/addrep/recursion.py",
-        "if formula is Formula.SUBSET and seq_w is not seq_a:",
+        "if self.seq_w is not self.seq_a:",
         "if False:",
         ("tests/test_recursion.py::test_subset_violation_and_equal_violation",),
+    ),
+    Mutant(
+        "recursion: even-even kind's base is 2", "src/addrep/recursion.py",
+        'EVEN_EVEN = "even-even", 0,',
+        'EVEN_EVEN = "even-even", 2,',
+        ("tests/test_applications.py::"
+         "test_two_squares_and_two_triangular_match_jacobi_over_the_whole_range",),
     ),
     Mutant(
         # Both caps give every count right; only the cap itself is pinned.

@@ -33,7 +33,7 @@ import numpy as np
 from . import convolution
 from .errors import LimitExceededError, ParityMismatchError
 from .oracle import brute_count_series
-from .recursion import _BASES, _PARITIES, CountSeries, EvaluatorKind, Formula, RecursionEvaluator
+from .recursion import CountSeries, EvaluatorKind, Formula, RecursionEvaluator
 from .sequences import (
     DEFAULT_TABLE_CAP,
     Parity,
@@ -197,17 +197,14 @@ class ProblemSpec:
             else:
                 values = brute_count_series(
                     seq_a, seq_b, x_max,
-                    role_tagged=kind is EvaluatorKind.EVEN_ODD, base=_BASES[kind],
+                    role_tagged=kind is EvaluatorKind.EVEN_ODD, base=kind.base,
                 ).values
             # Every route's series starts at the kind's base and steps by 2.
-            offset, off_lattice = divmod(self.x_of_n(self.n_start) - _BASES[kind], 2)
+            offset, off_lattice = divmod(self.x_of_n(self.n_start) - kind.base, 2)
             stride, off_stride = divmod(self.x_step, 2)
             assert offset >= 0 and not off_lattice and not off_stride
             totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
         return totals
-
-
-_KIND_BY_PARITY = {parities: kind for kind, parities in _PARITIES.items()}
 
 
 def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
@@ -216,13 +213,13 @@ def custom_problem(seq_a: ParitySequence, seq_b: ParitySequence) -> ProblemSpec:
     before an even one takes the second role; the counts are unchanged."""
     if (seq_a.parity, seq_b.parity) == (Parity.ODD, Parity.EVEN):
         seq_a, seq_b = seq_b, seq_a
-    kind = _KIND_BY_PARITY.get((seq_a.parity, seq_b.parity))
+    kind = EvaluatorKind.of(seq_a.parity, seq_b.parity)
     if kind is None:
         raise ParityMismatchError(
             f"no recursion for parities {seq_a.parity.value}/{seq_b.parity.value}"
         )
     return ProblemSpec(
-        name=f"custom {kind.value}", oeis=None, n_start=0, x_base=_BASES[kind], x_step=2,
+        name=f"custom {kind.value}", oeis=None, n_start=0, x_base=kind.base, x_step=2,
         argument_desc="a(n) counts decompositions of x = base + 2*n, n >= 0",
         parts=((kind, lambda limit, tables: seq_a, lambda limit, tables: seq_b, None),),
     )

@@ -27,7 +27,6 @@ from .errors import (
     LimitMismatchError,
     SequenceFormatError,
 )
-from .recursion import EvaluatorKind
 from .sequences import DEFAULT_TABLE_CAP, check_table_budget, load_sequence
 
 EXIT_OK = 0
@@ -62,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x-max", type=int, help="last target x (custom runs)")
         sp.add_argument("--seq-a", help="sequence file for the first role")
         sp.add_argument("--seq-b", help="sequence file for the second role")
-        sp.add_argument(
-            "--theorem",
-            choices=[k.value for k in EvaluatorKind],
-            help="expected recursion kind for custom runs (validated against "
-            "the file parities)",
-        )
         sp.add_argument(
             "--limit",
             type=int,
@@ -128,11 +121,6 @@ def _problem(
             load_sequence(args.seq_a, limit=args.x_max),
             load_sequence(args.seq_b, limit=args.x_max),
         )
-        kind = spec.parts[0][0].value
-        if args.theorem not in (None, kind):
-            raise CliUsageError(
-                f"--theorem {args.theorem} does not match the file parities ({kind})"
-            )
         if args.x_max < spec.x_base:
             raise CliUsageError(f"--x-max {args.x_max} is below the base target {spec.x_base}")
         n_max = (args.x_max - spec.x_base) // 2
@@ -141,10 +129,10 @@ def _problem(
             spec, n_max, "recursion", keys, {"x": keys},
             [f"# {spec.name} recursion; lines are 'x a(x)' for the target x",
              f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}"],
-            {"problem": "custom", "kind": kind},
+            {"problem": "custom", "kind": spec.parts[0][0].value},
         )
     else:
-        for flag in ("x_max", "seq_a", "seq_b", "theorem"):
+        for flag in ("x_max", "seq_a", "seq_b"):
             if getattr(args, flag) is not None:
                 raise CliUsageError(
                     f"--{flag.replace('_', '-')} applies to custom runs only, "

@@ -12,7 +12,7 @@ route return ``N_AB`` or ``2 N_AB - N_WW`` exactly, then adds delta and
 halves, refusing an odd doubled count.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
-``2k + base``, with the recursion's bases.  Float results not within
+``2k + base``, with the kind's base.  Float results not within
 0.25 of an integer, NaN and inf included, raise ResourceBudgetError.
 
 A transform reads one float64 indicator of K entries, written straight
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .recursion import _BASES, EvaluatorKind
+from .recursion import EvaluatorKind
 from .sequences import shared_terms
 
 
@@ -89,7 +89,7 @@ def count_series(
     requires (even first for ``EVEN_ODD``); omit ``b`` when the sequences
     are equal.  Terms past ``x_max`` are ignored.
     """
-    base = _BASES[kind]
+    base = kind.base
     if x_max < base:
         raise ValueError(f"x_max {x_max} is below the base argument {base}")
     size = (x_max - base) // 2 + 1

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitExceededError
-from .recursion import CountSeries
-from .sequences import Parity, ParitySequence
+from .recursion import CountSeries, EvaluatorKind
+from .sequences import ParitySequence
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,13 @@ def _members(seq: ParitySequence, x_max: int) -> np.ndarray:
 
 
 def _default_base(seq_a: ParitySequence, seq_b: ParitySequence, role_tagged: bool) -> int:
+    """The even-odd base when role-tagged, else the base of the pair's unordered kind."""
     if role_tagged:
-        return 1
-    if seq_a.parity is Parity.ODD and seq_b.parity is Parity.ODD:
-        return 2
-    if seq_a.parity is Parity.EVEN and seq_b.parity is Parity.EVEN:
-        return 0
-    raise ValueError("pass base explicitly for mixed-parity sequence pairs")
+        return EvaluatorKind.EVEN_ODD.base
+    kind = EvaluatorKind.of(seq_a.parity, seq_b.parity)
+    if kind is None or kind is EvaluatorKind.EVEN_ODD:
+        raise ValueError("pass base explicitly for mixed-parity sequence pairs")
+    return kind.base
 
 
 def triangular_number(i: int) -> int:

@@ -29,8 +29,9 @@ no gather is cast; an evaluator builds its own tables.
 W is A and B's intersection (``sequences.shared_terms``): A or B itself
 when it lies in the other, sharing that one's table, as B shares A's when
 it equals A.  Even-odd has none, since parity keeps its roles apart.
-``SUBSET`` claims W = A and is refused otherwise; ``EQUAL``, for two equal
-sequences, is the theorem's corollary: one sum, with the general
+The paper's subset case, A within B, is thus the general formula with
+W = A (``specialized_subset`` refuses any other pair); ``EQUAL``, for two
+equal sequences, is the theorem's corollary: one sum, with the general
 formula's values.
 
 Evaluators are single-owner mutable state: safe to hand between threads,
@@ -55,28 +56,28 @@ from .sequences import Parity, ParitySequence, intersect
 
 
 class EvaluatorKind(enum.Enum):
-    ODD_ODD = "odd-odd"
-    EVEN_EVEN = "even-even"
-    EVEN_ODD = "even-odd"
+    """A recursion kind: its name, its base target and its sequences' parities."""
+
+    ODD_ODD = "odd-odd", 2, Parity.ODD, Parity.ODD
+    EVEN_EVEN = "even-even", 0, Parity.EVEN, Parity.EVEN
+    EVEN_ODD = "even-odd", 1, Parity.EVEN, Parity.ODD
+
+    def __new__(cls, value: str, base: int, parity_a: Parity, parity_b: Parity):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.base = base
+        kind.parities = (parity_a, parity_b)
+        return kind
+
+    @classmethod
+    def of(cls, parity_a: Parity, parity_b: Parity) -> "EvaluatorKind | None":
+        """The kind of a pair with these parities, in role order, or None."""
+        return next((kind for kind in cls if kind.parities == (parity_a, parity_b)), None)
 
 
 class Formula(enum.Enum):
     GENERAL = "general"
-    SUBSET = "subset"
     EQUAL = "equal"
-
-
-_BASES = {
-    EvaluatorKind.ODD_ODD: 2,
-    EvaluatorKind.EVEN_EVEN: 0,
-    EvaluatorKind.EVEN_ODD: 1,
-}
-
-_PARITIES = {
-    EvaluatorKind.ODD_ODD: (Parity.ODD, Parity.ODD),
-    EvaluatorKind.EVEN_EVEN: (Parity.EVEN, Parity.EVEN),
-    EvaluatorKind.EVEN_ODD: (Parity.EVEN, Parity.ODD),
-}
 
 
 @dataclass
@@ -149,7 +150,7 @@ class RecursionEvaluator:
         seq_b: ParitySequence,
         formula: Formula = Formula.GENERAL,
     ):
-        want_a, want_b = _PARITIES[kind]
+        want_a, want_b = kind.parities
         if seq_a.parity is not want_a or seq_b.parity is not want_b:
             raise ParityMismatchError(
                 f"{kind.value} needs {want_a.value}/{want_b.value} sequences, "
@@ -159,21 +160,15 @@ class RecursionEvaluator:
             raise LimitMismatchError(
                 f"sequence limits differ: {seq_a.limit} vs {seq_b.limit}"
             )
-        base = _BASES[kind]
+        base = kind.base
         if seq_a.limit < base:
             raise LimitExceededError(
                 f"limit {seq_a.limit} is below the base argument {base}"
-            )
-        if formula is not Formula.GENERAL and kind is EvaluatorKind.EVEN_ODD:
-            raise ContainmentError(
-                "even-odd sequences are disjoint by parity; no subset or equal shortcut exists"
             )
         if formula is Formula.EQUAL and seq_a != seq_b:
             raise ContainmentError("sequences are not equal")
         # W is none for even-odd, else A & B: seq_a or seq_b when within the other.
         seq_w = None if kind is EvaluatorKind.EVEN_ODD else intersect(seq_a, seq_b)
-        if formula is Formula.SUBSET and seq_w is not seq_a:
-            raise ContainmentError("first sequence is not contained in the second")
 
         self.kind = kind
         self.formula = formula
@@ -240,8 +235,10 @@ class RecursionEvaluator:
         return self._step(x)
 
     def specialized_subset(self) -> "RecursionEvaluator":
-        """Fresh evaluator using the contained-sequence shortcut formula."""
-        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b, Formula.SUBSET)
+        """Fresh evaluator for A within B: the general formula, with W = A."""
+        if self.seq_w is not self.seq_a:
+            raise ContainmentError("first sequence is not contained in the second")
+        return RecursionEvaluator(self.kind, self.seq_a, self.seq_b)
 
     def specialized_equal(self) -> "RecursionEvaluator":
         """Fresh evaluator using the equal-sequences shortcut formula."""

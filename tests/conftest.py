@@ -17,13 +17,6 @@ LEMOINE_26 = [0, 0, 0, 1, 2, 2, 2, 2, 4, 2, 3, 3, 3, 4, 4, 2, 5, 3, 4, 4,
 TWO_TRIANGULAR_26 = [1, 1, 1, 1, 1, 0, 2, 1, 0, 1, 1, 1, 1, 1, 0, 1, 2, 0,
                      1, 0, 1, 2, 1, 0, 1, 1]
 
-KIND_PARITIES = {
-    EvaluatorKind.ODD_ODD: (Parity.ODD, Parity.ODD),
-    EvaluatorKind.EVEN_EVEN: (Parity.EVEN, Parity.EVEN),
-    EvaluatorKind.EVEN_ODD: (Parity.EVEN, Parity.ODD),
-}
-
-
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -63,7 +56,7 @@ def random_parity_sequence(rng: random.Random, parity: Parity, limit: int,
 
 
 def random_pair(rng: random.Random, kind: EvaluatorKind, limit: int):
-    pa, pb = KIND_PARITIES[kind]
+    pa, pb = kind.parities
     a = random_parity_sequence(
         rng, pa, limit, rng.uniform(0.1, 0.9),
         include_zero=(pa is Parity.EVEN and rng.random() < 0.5),
@@ -77,7 +70,7 @@ def random_pair(rng: random.Random, kind: EvaluatorKind, limit: int):
 
 def random_subset_pair(rng: random.Random, kind: EvaluatorKind, limit: int):
     """A pair with the first sequence drawn from the second."""
-    pa, _ = KIND_PARITIES[kind]
+    pa, _ = kind.parities
     big = random_parity_sequence(
         rng, pa, limit, rng.uniform(0.3, 0.9),
         include_zero=(pa is Parity.EVEN and rng.random() < 0.5),

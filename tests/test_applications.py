@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from addrep import applications, convolution, recursion
 from addrep.applications import PROBLEMS, custom_problem
 from addrep.errors import LimitExceededError, ParityMismatchError
-from addrep.recursion import _BASES, EvaluatorKind, Formula, RecursionEvaluator
+from addrep.oracle import count_two_squares
+from addrep.recursion import EvaluatorKind, Formula, RecursionEvaluator
 from addrep.sequences import (
     Parity,
     ParitySequence,
@@ -141,7 +143,7 @@ def _targets_per_part(spec, n_max, sums_per_step):
     """Each part's targets past its base, one entry per capped sum."""
     x_max = spec.x_of_n(n_max)
     return [x for (kind, *_), k in zip(spec.parts, sums_per_step)
-            for x in range(_BASES[kind] + 2, x_max + 1, 2) for _ in range(k)]
+            for x in range(kind.base + 2, x_max + 1, 2) for _ in range(k)]
 
 
 # A part that pairs a sequence with itself takes the equal formula (one
@@ -197,7 +199,7 @@ def test_engine_running_sums_are_the_recursion_functional(name):
         formula = Formula.EQUAL if seq_b is seq_a else Formula.GENERAL
         evaluator = RecursionEvaluator(kind, seq_a, seq_b, formula)
         for i in np.linspace(0, len(running) - 1, 10).astype(int).tolist():
-            x = _BASES[kind] + 2 * i
+            x = kind.base + 2 * i
             assert evaluator._functional(x) == running[i], (kind, x)
 
 
@@ -256,6 +258,41 @@ def test_shared_tables_must_reach_the_last_target(name):
 def test_two_squares_equals_two_triangular():
     n = 1000
     assert applications.two_squares(n).values == applications.two_triangular(n).values
+
+
+def _jacobi_h(n_max):
+    """h(4n + 1) for n = 0..n_max by Jacobi's two-square theorem (Hardy &
+    Wright, Thm 278): h(m) = (d1(m) - d3(m) + [m is a square]) / 2 for
+    m = 1 mod 4, with d_i(m) the number of divisors of m that are i mod 4.
+
+    Each divisor d <= sqrt(m) of such an m pairs with its cofactor e >= d,
+    and e = d mod 4, so the pair adds 2 chi(d) to d1 - d3 (chi(d) once when
+    e = d); one array operation per odd d covers all of its cofactors."""
+    x_max = 4 * n_max + 1
+    root = math.isqrt(x_max)
+    diff = np.zeros(n_max + 1, dtype=np.int64)  # d1 - d3 at m = 4n + 1
+    for d in range(1, root + 1, 2):
+        chi = 1 if d % 4 == 1 else -1
+        m = d * np.arange(d, x_max // d + 1, 4)
+        diff[(m - 1) // 4] += 2 * chi
+        diff[(d * d - 1) // 4] -= chi
+    odd_roots = np.arange(1, root + 1, 2)  # every odd square is 1 mod 4
+    diff[(odd_roots * odd_roots - 1) // 4] += 1
+    assert not (diff & 1).any() and (diff >= 0).all()
+    return diff // 2
+
+
+def test_jacobi_h_small_terms_match_direct_enumeration():
+    assert _jacobi_h(300).tolist() == [count_two_squares(4 * n + 1) for n in range(301)]
+
+
+def test_two_squares_and_two_triangular_match_jacobi_over_the_whole_range():
+    # An exact closed form with no oracle cap: every n <= 2 * 10^5, and
+    # t(n) = h(4n + 1) by the paper's remark.
+    n_max = 2 * 10**5
+    want = _jacobi_h(n_max)
+    np.testing.assert_array_equal(PROBLEMS["two-squares"].counts(n_max), want)
+    np.testing.assert_array_equal(PROBLEMS["two-triangular"].counts(n_max), want)
 
 
 def test_two_squares_skipped_targets_are_zero():

@@ -141,7 +141,6 @@ _FOREIGN_FLAGS = [
     (_BUILT_IN_ARGV + ["--x-max", "3"], "--x-max"),
     (_BUILT_IN_ARGV + ["--seq-a", "nope.txt"], "--seq-a"),
     (["--problem", "two-squares", "--n-max", "5", "--seq-b", "nope.txt"], "--seq-b"),
-    (_BUILT_IN_ARGV + ["--theorem", "even-odd"], "--theorem"),
     (["--problem", "custom", "--seq-a", "ODD", "--seq-b", "ODD", "--x-max", "9",
       "--n-max", "100"], "--n-max"),
 ]
@@ -182,14 +181,6 @@ def test_custom_table_budget_is_checked_before_either_file_is_read(tmp_path, mon
     assert code == EXIT_RESOURCE and loads == []
     assert capsys.readouterr().err == (
         "error: run needs tables up to 3000000000, above the --limit cap 100\n")
-
-
-def test_custom_theorem_flag_validation(tmp_path, capsys):
-    odd = _odd_file(tmp_path)
-    assert main(["compute", "--problem", "custom", "--seq-a", odd, "--seq-b", odd,
-                 "--x-max", "10", "--theorem", "even-even"]) == EXIT_USAGE
-    assert main(["compute", "--problem", "custom", "--seq-a", odd, "--seq-b", odd,
-                 "--x-max", "10", "--theorem", "odd-odd"]) == EXIT_OK
 
 
 def test_custom_even_odd_roles_swap(tmp_path, capsys):

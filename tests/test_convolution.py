@@ -10,9 +10,8 @@ from addrep import convolution
 from addrep.convolution import count_series, exact_counts, fast_length
 from addrep.errors import ResourceBudgetError
 from addrep.oracle import brute_count_series
-from addrep.recursion import _BASES, EvaluatorKind, Formula, RecursionEvaluator
+from addrep.recursion import EvaluatorKind, RecursionEvaluator
 from addrep.sequences import Parity, ParitySequence, SequenceKind, build_sieve, make_sequence
-from conftest import KIND_PARITIES
 
 
 def _first_term(parity: Parity) -> int:
@@ -47,20 +46,20 @@ def _forced_routes(kind, x_last, a_terms, b_terms):
 def _check_three_routes(kind, a, b, relation):
     """Engine (by any of its routes) == every applicable recursion
     formula == brute force."""
-    base = _BASES[kind]
+    base = kind.base
     x_last = base + 2 * ((a.limit - base) // 2)
     b_terms = None if relation == "equal" else b.terms
     engine = count_series(kind, x_last, a.terms, b_terms).tolist()
     for counts in _forced_routes(kind, x_last, a.terms, b_terms):
         assert counts == engine
-    formulas = [Formula.GENERAL]
+    general = RecursionEvaluator(kind, a, b)
+    evaluators = {"general": general}
     if kind is not EvaluatorKind.EVEN_ODD and relation in ("subset", "equal"):
-        formulas.append(Formula.SUBSET)
+        evaluators["subset"] = general.specialized_subset()
         if relation == "equal":
-            formulas.append(Formula.EQUAL)
-    for formula in formulas:
-        recursion = RecursionEvaluator(kind, a, b, formula).run_to(x_last).values
-        assert engine == recursion, formula
+            evaluators["equal"] = general.specialized_equal()
+    for name, evaluator in evaluators.items():
+        assert engine == evaluator.run_to(x_last).values, name
     oracle = brute_count_series(
         a, b, x_last, role_tagged=kind is EvaluatorKind.EVEN_ODD, base=base
     ).values
@@ -70,8 +69,8 @@ def _check_three_routes(kind, a, b, relation):
 @st.composite
 def sequence_pairs(draw):
     kind = draw(st.sampled_from(list(EvaluatorKind)))
-    pa, pb = KIND_PARITIES[kind]
-    limit = draw(st.integers(_BASES[kind], 150))  # odd and even limits
+    pa, pb = kind.parities
+    limit = draw(st.integers(kind.base, 150))  # odd and even limits
     relation = "independent"
     if kind is not EvaluatorKind.EVEN_ODD:
         relation = draw(st.sampled_from(
@@ -109,8 +108,8 @@ def test_engine_equals_recursion_and_oracle(case):
 def test_engine_edge_cases(kind, limit_offset, shape):
     # Limits equal to the base and just past it; empty and one-term
     # sequences; the first lattice term, which is 0 in even sequences.
-    pa, pb = KIND_PARITIES[kind]
-    limit = _BASES[kind] + limit_offset
+    pa, pb = kind.parities
+    limit = kind.base + limit_offset
     slots_b = range((limit - _first_term(pb)) // 2 + 1)
     chosen = {
         "empty": set(),
@@ -133,7 +132,7 @@ def test_short_side_against_a_long_one(kind, short_terms, short_side, shared, li
     # Sides of 0-3 terms, the shape the shifted adds are for; their terms
     # drawn from the long side (shared) or anywhere on the lattice.
     rng = random.Random(f"{kind.value}{short_terms}{short_side}{shared}{limit}")
-    long_parity, short_parity = KIND_PARITIES[kind][::-1 if short_side == "a" else 1]
+    long_parity, short_parity = kind.parities[::-1 if short_side == "a" else 1]
     long_slots = {s for s in range((limit - _first_term(long_parity)) // 2 + 1)
                   if rng.random() < 0.6}
     pool = sorted(long_slots) if shared and long_parity is short_parity else range(
@@ -151,7 +150,7 @@ def test_short_side_against_a_long_one(kind, short_terms, short_side, shared, li
 @pytest.mark.parametrize("kind", [EvaluatorKind.ODD_ODD, EvaluatorKind.EVEN_EVEN])
 @pytest.mark.parametrize("slots", [(), (0,), (0, 3), (1, 2, 7)])
 def test_short_equal_sequences(kind, slots):
-    seq = _sequence(KIND_PARITIES[kind][0], 30, slots)
+    seq = _sequence(kind.parities[0], 30, slots)
     _check_three_routes(kind, seq, seq, "equal")
 
 
@@ -162,7 +161,7 @@ def test_shared_term_on_the_last_target(kind, relation):
     # terms, 12 = 6 + 6 for even ones): the delta correction's last entry.
     slots_a = {"equal": (0, 1, 3), "subset": (1, 3), "overlapping": (0, 3)}[relation]
     slots_b = (1, 2, 3) if relation == "overlapping" else (0, 1, 3)
-    parity = KIND_PARITIES[kind][0]
+    parity = kind.parities[0]
     limit = 2 * (2 * 3 + _first_term(parity))
     a, b = _sequence(parity, limit, slots_a), _sequence(parity, limit, slots_b)
     _check_three_routes(kind, a, b, relation)

@@ -52,7 +52,7 @@ def test_an_unused_import_is_reported(tmp_path):
 
 def test_cli_runs_routes_only_through_problem_specs():
     # The CLI names no oracle and no evaluator of its own: every route it
-    # runs comes from a ProblemSpec.  EvaluatorKind names --theorem's choices.
+    # runs comes from a ProblemSpec.
     path = Path(addrep.__file__).parent / "cli.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -64,7 +64,7 @@ def test_cli_runs_routes_only_through_problem_specs():
         (module.removeprefix("addrep."), name) for module, name in imported
         if module.removeprefix("addrep.") in ("oracle", "recursion")
     }
-    assert route_imports <= {("recursion", "EvaluatorKind")}
+    assert route_imports == set()
 
 
 def test_cli_runs_routes_only_through_counts():

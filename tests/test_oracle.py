@@ -18,8 +18,8 @@ from addrep.oracle import (
     verify_remark_identity,
 )
 from addrep.sequences import Parity, ParitySequence, SequenceKind, make_sequence
-from conftest import KIND_PARITIES, random_pair
-from addrep.recursion import _BASES, EvaluatorKind
+from conftest import random_pair
+from addrep.recursion import EvaluatorKind
 
 
 # --- brute_count -------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_brute_series_equals_brute_count_random(kind, seed):
     # Odd and even limits; x_max at or below the limit, so terms past
     # x_max occur; a wide range of pool sizes.
     rng = random.Random(1000 * seed + len(kind.value))
-    base = _BASES[kind]
+    base = kind.base
     limit = rng.randint(base, 400)
     a, b = random_pair(rng, kind, limit)
     x_max = base + 2 * ((rng.randint(base, limit) - base) // 2)
@@ -117,8 +117,8 @@ def test_brute_series_equals_brute_count_mixed(role_tagged, base):
 @pytest.mark.parametrize("kind", list(EvaluatorKind))
 @pytest.mark.parametrize("shape", ["empty", "single", "at_base", "past_x_max"])
 def test_brute_series_edge_cases(kind, shape):
-    pa, pb = KIND_PARITIES[kind]
-    base = _BASES[kind]
+    pa, pb = kind.parities
+    base = kind.base
     first = {Parity.ODD: 1, Parity.EVEN: 0}
     limit, x_max = base + 10, base + 6
     terms_a = list(range(first[pa], limit + 1, 2))
@@ -146,7 +146,7 @@ def test_brute_series_equals_brute_count_on_oracle_pairs(problem, part):
     limit = 301
     a = make_a(limit, None)
     b = (make_oracle_b or make_b)(limit, None)
-    base = _BASES[kind]
+    base = kind.base
     x_max = base + 2 * ((limit - base) // 2)
     _assert_series_is_per_target(a, b, x_max, kind is EvaluatorKind.EVEN_ODD, base)
 

@@ -14,7 +14,6 @@ from addrep.errors import (
 )
 from addrep.oracle import brute_count_series
 from addrep.recursion import (
-    _BASES,
     CountSeries,
     EvaluatorKind,
     Formula,
@@ -144,20 +143,31 @@ def _evaluator_cases():
     rng = random.Random(4242)
     for kind in EvaluatorKind:
         a, b = random_pair(rng, kind, 120)
-        pairs = {Formula.GENERAL: (a, b)}
+        pairs = {"general": (a, b)}
         if kind is not EvaluatorKind.EVEN_ODD:
-            pairs[Formula.SUBSET] = random_subset_pair(rng, kind, 120)
-            pairs[Formula.EQUAL] = (a, a)
+            pairs["subset"] = random_subset_pair(rng, kind, 120)
+            pairs["equal"] = (a, a)
         for formula, pair in pairs.items():
-            yield pytest.param(kind, formula, *pair, id=f"{kind.value}-{formula.value}")
+            yield pytest.param(kind, formula, *pair, id=f"{kind.value}-{formula}")
+
+
+def _evaluator(kind, formula, a, b):
+    """A fresh evaluator of the pair: the general one, or its
+    ``specialized_subset()`` or ``specialized_equal()``."""
+    general = RecursionEvaluator(kind, a, b)
+    if formula == "subset":
+        return general.specialized_subset()
+    if formula == "equal":
+        return general.specialized_equal()
+    return general
 
 
 @pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
 def test_next_steps_agree_with_run_to(kind, formula, a, b):
-    stepped = RecursionEvaluator(kind, a, b, formula)
+    stepped = _evaluator(kind, formula, a, b)
     base = stepped.computed.base
     pairs = [stepped.next() for _ in range(30)]
-    ran = RecursionEvaluator(kind, a, b, formula)
+    ran = _evaluator(kind, formula, a, b)
     ran.run_to(base + 2 * 30)
     assert pairs == ran.computed.items()[1:]
     assert stepped.computed.values == ran.computed.values
@@ -220,9 +230,9 @@ def test_prefix_table_is_int64():
 def _summed_sets(ev):
     """The term sets each step's capped sums run over, in call order."""
     a, b, w = ev.seq_a, ev.seq_b, ev.seq_w
-    if ev.kind is EvaluatorKind.EVEN_ODD:
-        return [b, a]
-    return {Formula.GENERAL: [b, a, w], Formula.SUBSET: [b, a, a], Formula.EQUAL: [a]}[ev.formula]
+    if ev.formula is Formula.EQUAL:
+        return [a]
+    return [b, a] if w is None else [b, a, w]
 
 
 @pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
@@ -235,7 +245,7 @@ def test_each_capped_sum_gets_exactly_the_terms_up_to_half(kind, formula, a, b, 
         return kernel(counts, terms, cap, x)
 
     monkeypatch.setattr(recursion, "_capped_sum", recording)
-    ev = RecursionEvaluator(kind, a, b, formula)
+    ev = _evaluator(kind, formula, a, b)
     sets = _summed_sets(ev)
     x_last = ev.computed.base + 2 * ((a.limit - ev.computed.base) // 2)
     ev.run_to(x_last)
@@ -252,7 +262,7 @@ def test_each_capped_sum_gets_exactly_the_terms_up_to_half(kind, formula, a, b, 
 
 @pytest.mark.parametrize("kind, formula, a, b", list(_evaluator_cases()))
 def test_functional_past_the_tables_raises(kind, formula, a, b):
-    ev = RecursionEvaluator(kind, a, b, formula)
+    ev = _evaluator(kind, formula, a, b)
     base, limit = ev.computed.base, a.limit
     inside = base + 2 * ((limit - base) // 2)
     assert ev._functional(inside) == sum(ev.run_to(inside).values)
@@ -268,7 +278,7 @@ def test_functional_past_the_tables_raises(kind, formula, a, b):
 def test_functional_off_the_lattice_sums_the_counts_up_to_x(kind, formula, a, b):
     # At every x, on the target lattice or off it, the functional is the
     # sum of the counts at targets <= x: each step's cap is exact there.
-    ev = RecursionEvaluator(kind, a, b, formula)
+    ev = _evaluator(kind, formula, a, b)
     base, limit = ev.computed.base, a.limit
     counts = dict(ev.run_to(base + 2 * ((limit - base) // 2)).items())
     running = 0
@@ -318,7 +328,7 @@ def test_even_odd_has_no_specialized_forms():
 def test_subset_small_example():
     s = ParitySequence([3], Parity.ODD, 10)
     t = ParitySequence([3, 5], Parity.ODD, 10)
-    ev = RecursionEvaluator(EvaluatorKind.ODD_ODD, s, t, Formula.SUBSET)
+    ev = RecursionEvaluator(EvaluatorKind.ODD_ODD, s, t).specialized_subset()
     assert ev.run_to(8).value_at(8) == 1  # 3 + 5
 
 
@@ -365,7 +375,7 @@ def test_one_prefix_table_per_distinct_sequence():
         "self": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, seq),
         "copy": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy),
         "equal": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, copy, Formula.EQUAL),
-        "subset": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen, Formula.SUBSET),
+        "subset": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen).specialized_subset(),
         "contained": RecursionEvaluator(EvaluatorKind.ODD_ODD, seq, chen),
         "reversed": RecursionEvaluator(EvaluatorKind.ODD_ODD, chen, seq),
     }
@@ -421,9 +431,9 @@ def test_matches_oracle_randomized(kind):
 
 @pytest.mark.parametrize("kind", list(EvaluatorKind))
 def test_matches_engine_at_the_custom_benchmark_size(kind):
-    rng = random.Random(20_000 + _BASES[kind])
+    rng = random.Random(20_000 + kind.base)
     a, b = random_pair(rng, kind, 20_000)
-    base = _BASES[kind]
+    base = kind.base
     x_last = base + 2 * ((20_000 - base) // 2)
     got = RecursionEvaluator(kind, a, b).run_to(x_last).values
     assert got == count_series(kind, x_last, a.terms, b.terms).tolist()
