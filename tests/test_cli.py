@@ -183,6 +183,33 @@ def test_custom_table_budget_is_checked_before_either_file_is_read(tmp_path, mon
         "error: run needs tables up to 3000000000, above the --limit cap 100\n")
 
 
+@pytest.mark.parametrize("parities, kind", [
+    (("odd", "odd"), "odd-odd"),
+    (("even", "even"), "even-even"),
+    (("odd", "even"), "even-odd"),
+])
+def test_custom_kind_comes_from_the_files(tmp_path, capsys, parities, kind):
+    # No flag names the kind: the header reports the one the files' parities give.
+    paths = []
+    for i, parity in enumerate(parities):
+        path = tmp_path / f"{i}.txt"
+        first = 1 if parity == "odd" else 0
+        path.write_text(f"parity: {parity}\n" + "".join(f"{t}\n" for t in range(first, 9, 2)))
+        paths.append(str(path))
+    assert main(["compute", "--problem", "custom", "--seq-a", paths[0],
+                 "--seq-b", paths[1], "--x-max", "6"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"# custom {kind} recursion;")
+
+
+def test_theorem_flag_is_not_an_option(tmp_path, capsys):
+    odd = _odd_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--problem", "custom", "--seq-a", odd, "--seq-b", odd,
+              "--x-max", "10", "--theorem", "odd-odd"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --theorem odd-odd" in capsys.readouterr().err
+
+
 def test_custom_even_odd_roles_swap(tmp_path, capsys):
     odd = _odd_file(tmp_path)
     even = tmp_path / "even.txt"

@@ -33,6 +33,25 @@ def _evens(limit, with_zero):
     return ParitySequence(range(start, limit + 1, 2), Parity.EVEN, limit)
 
 
+# --- kinds -----------------------------------------------------------------
+
+@pytest.mark.parametrize("parities, expected", [
+    ((Parity.ODD, Parity.ODD), EvaluatorKind.ODD_ODD),
+    ((Parity.EVEN, Parity.EVEN), EvaluatorKind.EVEN_EVEN),
+    ((Parity.EVEN, Parity.ODD), EvaluatorKind.EVEN_ODD),
+    ((Parity.ODD, Parity.EVEN), None),  # roles in order: the even sequence first
+])
+def test_kind_of_a_pair_of_parities(parities, expected):
+    kind = EvaluatorKind.of(*parities)
+    assert kind is expected
+    if kind is not None:
+        assert kind.parities == parities
+        assert EvaluatorKind(kind.value) is kind
+        # The base is the least sum of the two lattices' first terms, 1 or 0.
+        first = {Parity.ODD: 1, Parity.EVEN: 0}
+        assert kind.base == first[parities[0]] + first[parities[1]]
+
+
 # --- seeds -----------------------------------------------------------------
 
 def test_seed_odd_primes():
