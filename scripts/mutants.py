@@ -94,8 +94,8 @@ MUTANTS = (
     ),
     Mutant(
         "convolution: subset spectrum's sign flipped", "src/addrep/convolution.py",
-        "            spectrum -= fa\n",
-        "            spectrum += fa\n",
+        "fb[j] -= fa[j]",
+        "fb[j] += fa[j]",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
@@ -105,15 +105,16 @@ MUTANTS = (
         ("tests/test_convolution.py::test_rounding_guard_raises_off_integer_values",),
     ),
     Mutant(
-        "convolution: B's terms not cleared before A's transform", "src/addrep/convolution.py",
-        "buf[b // 2] = 0",
+        "convolution: a block's terms not cleared before the next block's transform",
+        "src/addrep/convolution.py",
+        "buf[ones] = 0",
         "pass",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
-        "convolution: A's terms not cleared before W's transform", "src/addrep/convolution.py",
-        "buf[a // 2] = 0",
-        "pass",
+        "convolution: W's blocks transformed from A's terms", "src/addrep/convolution.py",
+        "else spectra(w)",
+        "else spectra(a)",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
@@ -136,9 +137,28 @@ MUTANTS = (
     ),
     Mutant(
         "convolution: transform route one over at index 10 001", "src/addrep/convolution.py",
-        "counts = _by_fft(size, length, a, b, w)",
-        "counts = _by_fft(size, length, a, b, w) + (np.arange(size) == 10_001)",
+        "counts = _by_fft(size, a, b, w)",
+        "counts = _by_fft(size, a, b, w) + (np.arange(size) == 10_001)",
         ("tests/test_applications.py::test_engine_running_sums_are_the_recursion_functional",),
+    ),
+    Mutant(
+        "convolution: a diagonal placed one block off", "src/addrep/convolution.py",
+        "spectrum = _diagonal(fa, fb, s)",
+        "spectrum = _diagonal(fa, fb, s - 1)",
+        ("tests/test_convolution.py::test_transform_blocks_against_brute_force",),
+    ),
+    Mutant(
+        "convolution: equal pair's off-diagonal products not doubled",
+        "src/addrep/convolution.py",
+        "        total *= 2\n",
+        "        pass\n",
+        ("tests/test_convolution.py::test_transform_blocks_against_brute_force",),
+    ),
+    Mutant(
+        "convolution: last block's cut one entry long", "src/addrep/convolution.py",
+        "n = min(2 * h - 1, size - s * h)",
+        "n = min(2 * h - 1, size - s * h + 1)",
+        ("tests/test_convolution.py::test_transform_blocks_against_brute_force",),
     ),
     Mutant(
         "convolution: shifts skip W's own pairs", "src/addrep/convolution.py",

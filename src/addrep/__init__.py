@@ -4,8 +4,8 @@ The package computes, for increasing integer sequences of uniform parity,
 how many ways each target splits into one term from each sequence: by the
 paper's incremental recursion, or for the built-in problems (prime pairs,
 prime plus prime-or-semiprime, doubled prime plus prime, two squares, two
-triangular numbers) by one exact FFT convolution per series.  Everything
-is cross-checkable against a brute-force oracle.
+triangular numbers) by an exact blocked FFT convolution per series.
+Everything is cross-checkable against a brute-force oracle.
 """
 
 from .applications import (

@@ -3,7 +3,7 @@
 Each problem in PROBLEMS lists its ``parts``: an evaluator kind and the
 builders of its two sequences.  A problem's count is the sum of its
 parts' counts, and ``ProblemSpec.counts`` runs any of three routes over
-``parts``: the engine (one exact FFT convolution per part, behind the
+``parts``: the engine (an exact blocked FFT convolution per part, behind the
 functions below), the paper's recursion and brute-force enumeration.
 ``custom_problem`` turns any pair of parity sequences into a one-part
 problem of the same shape.

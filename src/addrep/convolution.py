@@ -2,7 +2,7 @@
 
 What the recursion's step leaves after subtracting the running tail is
 the convolution of the two sequences' indicator vectors, so a whole
-series costs one O(K log K) convolution for K targets.  ``EVEN_ODD``
+series costs O(K log K) for K targets.  ``EVEN_ODD``
 (roles fixed by parity) counts ``N_AB``; the unordered kinds count
 ``(2 N_AB - N_WW + delta) / 2`` with ``W = A & B`` and ``delta(x) =
 [x/2 in W]``, the step formula's correction for shared terms.
@@ -15,13 +15,15 @@ Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the kind's base.  Float results not within
 0.25 of an integer, NaN and inf included, raise ResourceBudgetError.
 
-A transform reads one float64 indicator of K entries, written straight
-from the terms and padded by ``rfft`` itself, and makes one spectrum;
-the spectra are combined in place and each is dropped once used.  For
-A within B (the paper's subset formula; Chen's odd primes within the
-primes-or-odd-semiprimes) the spectrum ``fa (2 fb - fa)`` takes two
-forward transforms where ``2 fa fb - fw fw`` takes three.  ``rfft``'s
-``out=`` needs numpy >= 2.0.
+The transforms run on blocks: each side's K indices are cut into m blocks
+of h, each transformed once at a length holding 2h - 1 entries, and the
+products of block i with block s - i, summed over i, give the counts at
+indices s h to s h + 2h - 2 by one inverse transform per diagonal s.  The
+diagonals run from the last down, so block s's spectra are dropped once
+diagonal s is done, and no transform is longer than about 2K / m.  For A
+within B (the paper's subset formula; Chen's odd primes within the
+primes-or-odd-semiprimes) the spectra ``fa (2 fb - fa)`` take two sides'
+blocks where ``2 fa fb - fw fw`` takes three.
 
 When one side has only k terms, k shifted adds of the other side's
 indicator O (2 O at a term outside W, 2 O - W at one in it) need no
@@ -47,6 +49,10 @@ from .sequences import shared_terms
 # entries costs K + _SHIFT_CALL and a transform L log2 L + _TRANSFORM_CALL.
 _SHIFT_CALL = 1_000
 _TRANSFORM_CALL = 5_000
+
+# Blocks per side on the transform route: more shorten the transforms and
+# drop spectra sooner, at m (m + 1) / 2 block products per pair.
+_BLOCKS = 16
 
 
 def fast_length(n: int) -> int:
@@ -107,7 +113,7 @@ def count_series(
     ):
         counts = _by_shifts(size, a, b, w)
     else:
-        counts = _by_fft(size, length, a, b, w)
+        counts = _by_fft(size, a, b, w)
     if w is None:
         return counts
     # delta(x) = [x/2 in W] is 1 at the even index 2 (w // 2) of each w in W.
@@ -121,36 +127,58 @@ def count_series(
     return counts
 
 
-def _by_fft(size, length, a, b, w) -> np.ndarray:
-    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by transforms."""
-    buf = np.zeros(size)  # each indicator in turn; rfft pads it to length
-    buf[(a if b is None else b) // 2] = 1
-    spectrum = np.fft.rfft(buf, length)
-    if b is None:
-        spectrum *= spectrum
-    else:
-        buf[b // 2] = 0
-        buf[a // 2] = 1
-        fa = np.fft.rfft(buf, length)
-        if w is None:
-            spectrum *= fa
-        elif w is a:  # fa (2 fb - fa)
+def _by_fft(size, a, b, w) -> np.ndarray:
+    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by block transforms."""
+    h = -(-size // min(_BLOCKS, size))
+    m = -(-size // h)  # no empty block: 17 targets in 16 blocks take 9 of 2
+    length = fast_length(2 * h - 1)
+
+    def spectra(terms):
+        cuts = np.searchsorted(terms, 2 * h * np.arange(m + 1))
+        buf, blocks = np.zeros(length), []
+        for j in range(m):
+            ones = terms[cuts[j] : cuts[j + 1]] // 2 - j * h
+            buf[ones] = 1
+            blocks.append(np.fft.rfft(buf))
+            buf[ones] = 0
+        return blocks
+
+    fa = spectra(a)
+    fb = fa if b is None else spectra(b)
+    fw = None if w is None or w is a else spectra(w)
+    if w is a and b is not None:  # fa (2 fb - fa), with 2 fb - fa in fb's place
+        for j in range(m):
+            fb[j] *= 2
+            fb[j] -= fa[j]
+    out = [None] * m
+    for s in reversed(range(m)):
+        spectrum = _diagonal(fa, fb, s)
+        if fw is not None:  # 2 fa fb - fw fw
             spectrum *= 2
-            spectrum -= fa
-            spectrum *= fa
-        else:  # 2 fa fb - fw fw, with fw in the place of fa
-            spectrum *= fa
-            spectrum *= 2
-            buf[a // 2] = 0
-            buf[w // 2] = 1
-            fw = np.fft.rfft(buf, length, out=fa)
-            fw *= fw
-            spectrum -= fw
-        del fa
-    del buf
-    values = np.fft.irfft(spectrum, length)[:size]
-    del spectrum
-    return exact_counts(values)
+            spectrum -= _diagonal(fw, fw, s)
+            fw[s] = None
+        fa[s] = fb[s] = None  # no lower diagonal takes block s
+        n = min(2 * h - 1, size - s * h)
+        counts = exact_counts(np.fft.irfft(spectrum, length)[:n])
+        del spectrum
+        if n > h:
+            out[s + 1][: n - h] += counts[h:]
+        out[s] = counts[:h].copy()
+    return np.concatenate(out)
+
+
+def _diagonal(x, y, s) -> np.ndarray:
+    """The sum of x[i] y[s - i] over i; when x is y, each pair i < s - i is
+    taken once and doubled."""
+    total, product = np.zeros_like(x[s]), np.empty_like(x[s])
+    symmetric = x is y
+    for i in range((s + 1) // 2 if symmetric else s + 1):
+        total += np.multiply(x[i], y[s - i], out=product)
+    if symmetric:
+        total *= 2
+        if s % 2 == 0:
+            total += np.multiply(x[s // 2], x[s // 2], out=product)
+    return total
 
 
 def _by_shifts(size, a, b, w) -> np.ndarray:

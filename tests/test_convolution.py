@@ -102,6 +102,31 @@ def test_engine_equals_recursion_and_oracle(case):
     _check_three_routes(*case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sequence_pairs(), st.booleans())
+def test_transform_blocks_against_brute_force(case, swap):
+    # The transform route cut into 1, 2 and 3 blocks, into K of one target
+    # each (also when asked for K + 1), and into a count that leaves the
+    # last block short.  Swapping an unordered pair turns A within B into B
+    # within A.
+    kind, a, b, relation = case
+    if swap and kind is not EvaluatorKind.EVEN_ODD:
+        a, b = b, a
+    base = kind.base
+    x_last = base + 2 * ((a.limit - base) // 2)
+    size = (x_last - base) // 2 + 1
+    want = brute_count_series(
+        a, b, x_last, role_tagged=kind is EvaluatorKind.EVEN_ODD, base=base
+    ).values
+    b_terms = None if relation == "equal" else b.terms
+    short = [m for m in range(2, size) if size % -(-size // m)][:1]
+    for blocks in (1, 2, 3, size, size + 1, *short):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convolution, "_BLOCKS", blocks)
+            got = _forced("transform", kind, x_last, a.terms, b_terms).tolist()
+        assert got == want, blocks
+
+
 @pytest.mark.parametrize("kind", list(EvaluatorKind))
 @pytest.mark.parametrize("limit_offset", [0, 1, 2, 7])
 @pytest.mark.parametrize("shape", ["empty", "single", "first", "full"])
@@ -169,10 +194,12 @@ def test_shared_term_on_the_last_target(kind, relation):
 
 def test_chen_contained_pair_takes_two_transforms(monkeypatch):
     # The odd primes lie within the primes and odd semiprimes, so W = A and
-    # the spectrum fa (2 fb - fa) takes two forward transforms, not three;
-    # the shifted adds, forced, give the same counts with none.  Given in
-    # the other order, W = B, and the symmetric count swaps the sides.
+    # the spectra fa (2 fb - fa) take two sides of m block transforms, not
+    # three; the shifted adds, forced, give the same counts with none.
+    # Given in the other order, W = B, and the symmetric count swaps the
+    # sides.  The 10^4 targets make m blocks of 10^4 / m entries.
     x_max = 2 * 10**4
+    blocks = min(convolution._BLOCKS, 10**4)
     tables = build_sieve(x_max)
     odd_primes = make_sequence(SequenceKind.ODD_PRIMES, x_max, tables=tables).terms
     chen = make_sequence(SequenceKind.PRIME_OR_ODD_SEMIPRIME, x_max, tables=tables).terms
@@ -186,9 +213,9 @@ def test_chen_contained_pair_takes_two_transforms(monkeypatch):
     for a, b in ((odd_primes, chen), (chen, odd_primes)):
         calls.clear()
         counts = count_series(EvaluatorKind.ODD_ODD, x_max, a, b)
-        assert len(calls) == 2
+        assert len(calls) == 2 * blocks
         assert counts.tolist() == _forced("shifts", EvaluatorKind.ODD_ODD, x_max, a, b).tolist()
-        assert len(calls) == 2
+        assert len(calls) == 2 * blocks
 
 
 def test_a_one_term_side_runs_no_transform(monkeypatch):
@@ -220,13 +247,16 @@ def test_rejects_x_max_below_base():
 @pytest.mark.parametrize("b", [None, np.arange(3, 100, 4)])
 def test_an_odd_doubled_count_raises(monkeypatch, error, b):
     # 2 N_AB - N_WW + delta is twice a count; an entry rounded one off makes
-    # it odd, which halving would hide (+1) or carry as one short (-1).
+    # it odd, which halving would hide (+1) or carry as one short (-1).  One
+    # block puts every target in one inverse transform, so the perturbed
+    # index 7 is target 16 and no other.
     def one_off(values):
         counts = exact_counts(values)
         counts[7] += error
         return counts
 
     monkeypatch.setattr(convolution, "exact_counts", one_off)
+    monkeypatch.setattr(convolution, "_BLOCKS", 1)
     terms = np.arange(1, 100, 2)
     with pytest.raises(ResourceBudgetError, match="at 16 came out odd"):
         _forced("transform", EvaluatorKind.ODD_ODD, 100, terms, b)
@@ -241,19 +271,21 @@ def test_rounding_guard_raises_off_integer_values():
 
 @pytest.mark.parametrize("shape", ["goldbach", "chen", "lemoine-levy"])
 def test_transform_route_peak_memory_per_target(shape):
-    # One float64 indicator (8 B per target) and the spectra of length
-    # L / 2 + 1 = K + 1 (16 B per target each): a pair holds the indicator
-    # and two spectra at its second transform, an equal pair one spectrum
-    # and the inverse transform's output.
+    # Each side's m block spectra hold about h + 1 complex entries per h
+    # targets, 16 B per target a side.  A pair holds two sides at the last
+    # diagonal, an equal pair one, each with one diagonal's spectrum, its
+    # inverse and a block of indicator: 34 and 18.7 B per target at m = 16.
+    # Block s's spectra are dropped once diagonal s is done, as the
+    # output's int64 blocks grow.
     n = 10**5
     tables = build_sieve(2 * n)
     odd_primes = make_sequence(SequenceKind.ODD_PRIMES, 2 * n, tables=tables).terms
     kind, x_max, a, b, bound = {
-        "goldbach": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes, None, 33),
+        "goldbach": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes, None, 20),
         "chen": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes, make_sequence(
-            SequenceKind.PRIME_OR_ODD_SEMIPRIME, 2 * n, tables=tables).terms, 41),
+            SequenceKind.PRIME_OR_ODD_SEMIPRIME, 2 * n, tables=tables).terms, 36),
         "lemoine-levy": (EvaluatorKind.EVEN_ODD, 2 * n - 1, make_sequence(
-            SequenceKind.DOUBLED_PRIMES, 2 * n, tables=tables).terms, odd_primes, 41),
+            SequenceKind.DOUBLED_PRIMES, 2 * n, tables=tables).terms, odd_primes, 36),
     }[shape]
     count_series(kind, x_max, a, b)  # numpy's plan for this length, made once
     tracemalloc.start()
@@ -263,7 +295,7 @@ def test_transform_route_peak_memory_per_target(shape):
     finally:
         tracemalloc.stop()
     assert len(counts) == n
-    assert peak < bound * n  # 70-107 B per target with full-length temporaries
+    assert peak < bound * n  # 32-40 B per target with full-length transforms
 
 
 def test_fast_length_is_smallest_5_smooth():
