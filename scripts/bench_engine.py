@@ -1,7 +1,7 @@
 """Wall time and peak RSS of `addrep compute` for two source trees.
 
-Runs `python -m addrep.cli compute --problem P --n-max N` in a fresh
-process per run, for each source tree (a checkout holding `src/addrep`),
+Runs `python -m addrep.cli compute --problem P --n-max N --format F` in a
+fresh process per run, for each source tree (a checkout holding `src/addrep`),
 problem and size, alternating which tree runs first.  The peak RSS is the
 child's own maxrss from `os.wait4`; the wall time spans process start to
 exit.  Each run's output is compared byte for byte with the first tree's
@@ -26,10 +26,10 @@ import time
 from pathlib import Path
 
 
-def run_once(src: Path, problem: str, n: int, out: Path) -> dict:
+def run_once(src: Path, problem: str, n: int, fmt: str, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "addrep.cli", "compute", "--problem", problem,
-            "--n-max", str(n), "--out", str(out)]
+            "--n-max", str(n), "--format", fmt, "--out", str(out)]
     t0 = time.perf_counter()
     child = subprocess.Popen(argv, env=env)
     _, status, usage = os.wait4(child.pid, 0)
@@ -46,6 +46,8 @@ def main() -> None:
     parser.add_argument("--problems", nargs="+",
                         default=["goldbach", "chen-total", "lemoine-levy"])
     parser.add_argument("--sizes", nargs="+", type=int, default=[10**6, 10**7])
+    parser.add_argument("--format", default="bfile", choices=["bfile", "csv", "json"],
+                        help="output format passed to `compute --format`")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
@@ -62,7 +64,7 @@ def main() -> None:
                         outputs[name] = Path(work) / f"{name}.txt"
                         rows.append({"problem": problem, "n": n, "run": run, "side": name,
                                      "first": position == 0,
-                                     **run_once(src, problem, n, outputs[name])})
+                                     **run_once(src, problem, n, args.format, outputs[name])})
                         print(json.dumps(rows[-1]), flush=True)
                     reference = outputs[trees[0][0]]
                     for row in rows[-len(trees):]:
@@ -83,7 +85,8 @@ def main() -> None:
     import numpy  # only now: a child's maxrss starts from this process's size at fork
 
     record = {
-        "what": "fresh-process `python -m addrep.cli compute --problem P --n-max N --out FILE`; "
+        "what": "fresh-process `python -m addrep.cli compute --problem P --n-max N "
+                f"--format {args.format} --out FILE`; "
                 "peak RSS is the child's maxrss from os.wait4; runs alternate which tree goes first",
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                 f"numpy {numpy.__version__}",

@@ -279,6 +279,13 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_convolution.py::test_chen_contained_pair_takes_two_transforms",),
     ),
+    Mutant(
+        "cli: the row writer formats every row in one block", "src/addrep/cli.py",
+        "BLOCK_ROWS):\n        block = [column[start : start + BLOCK_ROWS]",
+        "max(BLOCK_ROWS, len(columns[0]))):\n"
+        "        block = [column[start : start + max(BLOCK_ROWS, len(columns[0]))]",
+        ("tests/test_cli.py::test_row_writer_peak_memory_is_one_block",),
+    ),
 )
 
 

@@ -670,6 +670,30 @@ def test_writers_build_a_range_key_column_block_by_block(keys):
         assert by_range.getvalue() == by_array.getvalue(), writer.__name__
 
 
+@pytest.mark.parametrize("literals, peak_kb", [
+    (["", " ", "\n"], 640),  # bfile: 584 KB traced in 2^13-row blocks
+    (["    [\n      ", ",\n      ", "\n    ],\n"], 1440),  # JSON: 1310 KB
+])
+def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
+    # 10^5 rows in 2^13-row blocks; one block of 2^14 rows traced 1163 and
+    # 2615 KB, so a writer that formats more rows at a time fails.
+    import tracemalloc
+
+    from addrep.applications import PROBLEMS
+    from addrep.cli import _format_rows
+
+    n_max = 10**5
+    counts = PROBLEMS["goldbach"].counts(n_max)
+    tracemalloc.start()
+    try:
+        length = sum(len(text) for text in _format_rows((range(1, n_max + 1), counts), literals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert length > 10 * n_max
+    assert peak <= peak_kb * 1024, peak
+
+
 def _run_python(*args):
     """A child interpreter on this package, its stdout block-buffered."""
     import os
@@ -781,7 +805,7 @@ def test_verify_output_across_a_block_boundary(capsys):
     from addrep.applications import PROBLEMS
 
     spec = PROBLEMS["two-squares"]
-    n_max = BLOCK_ROWS + 16  # targets up to 4 n_max + 1 = 65601
+    n_max = BLOCK_ROWS + 16  # targets up to 4 n_max + 1 = 4 BLOCK_ROWS + 65
     assert main(["verify", "--problem", "two-squares", "--n-max", str(n_max),
                  "--oracle-cap", str(spec.x_of_n(n_max))]) == EXIT_OK
     counts = spec.counts(n_max).tolist()
