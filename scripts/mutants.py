@@ -9,9 +9,12 @@ to the copy, runs only that mutant's tests (`python -m pytest -x -q`) and
 restores the file.  Each mutant is reported as killed, SURVIVED (its tests
 passed) or STALE (its old text no longer occurs exactly once).  The exit
 code is 1 when a mutant survived or went stale, or when a test failed on
-the unmutated copy.
+the unmutated copy.  Given substrings, it runs only the mutants whose name
+contains one of them, and only their tests on the unmutated copy; it exits
+with 2 when no name contains any.
 
-    python scripts/mutants.py
+    python scripts/mutants.py                  # every mutant
+    python scripts/mutants.py convolution cli  # names containing either
 """
 
 from __future__ import annotations
@@ -112,9 +115,9 @@ MUTANTS = (
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
-        "convolution: W's blocks transformed from A's terms", "src/addrep/convolution.py",
-        "else spectra(w)",
-        "else spectra(a)",
+        "convolution: the N_WW pass taken over A", "src/addrep/convolution.py",
+        "counts -= route(size, w, None, False)",
+        "counts -= route(size, a, None, False)",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
@@ -137,8 +140,8 @@ MUTANTS = (
     ),
     Mutant(
         "convolution: transform route one over at index 10 001", "src/addrep/convolution.py",
-        "counts = _by_fft(size, a, b, w)",
-        "counts = _by_fft(size, a, b, w) + (np.arange(size) == 10_001)",
+        "else _by_fft",
+        "else lambda *args: _by_fft(*args) + (np.arange(size) == 10_001)",
         ("tests/test_applications.py::test_engine_running_sums_are_the_recursion_functional",),
     ),
     Mutant(
@@ -162,8 +165,14 @@ MUTANTS = (
     ),
     Mutant(
         "convolution: shifts skip W's own pairs", "src/addrep/convolution.py",
-        "inside[w // 2] = 1",
-        "inside[w // 2] = 2",
+        "row[short // 2] -= 1",
+        "row[short // 2] -= 0",
+        ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
+    ),
+    Mutant(
+        "convolution: partly shared pair not doubled", "src/addrep/convolution.py",
+        "counts *= 2",
+        "counts *= 1",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
     ),
     Mutant(
@@ -300,8 +309,12 @@ def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
     return done.returncode == 0, time.perf_counter() - start
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     start = time.perf_counter()
+    mutants = [m for m in MUTANTS if not names or any(n in m.name for n in names)]
+    if not mutants:
+        print(f"no mutant's name contains any of {names}")
+        return 2
     faults = 0
     with tempfile.TemporaryDirectory(prefix="addrep-mutants-") as tmp:
         copy = Path(tmp)
@@ -309,11 +322,11 @@ def main() -> int:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
         passed, seconds = _pytest(copy, tests)
         print(f"{'pass' if passed else 'FAIL':9s} unmutated copy ({seconds:.1f} s)")
         faults += not passed
-        for mutant in MUTANTS:
+        for mutant in mutants:
             target = copy / mutant.path
             original = target.read_text()
             if original.count(mutant.old) != 1:
@@ -328,9 +341,9 @@ def main() -> int:
                 target.write_text(original)
             print(f"{'SURVIVED' if survived else 'killed':9s} {mutant.name} ({seconds:.1f} s)")
             faults += survived
-    print(f"{len(MUTANTS)} mutants, {faults} faults, {time.perf_counter() - start:.1f} s")
+    print(f"{len(mutants)} mutants, {faults} faults, {time.perf_counter() - start:.1f} s")
     return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -56,6 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     names = sorted(PROBLEMS) + ["custom"]
 
+    def cap(text: str) -> int:  # a cap below 0 is a usage error, not a resource limit
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+        return int(text)
+
     def add_common(sp):
         sp.add_argument("--problem", required=True, choices=names)
         sp.add_argument("--n-max", type=int, help="last index n (built-in problems)")
@@ -64,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seq-b", help="sequence file for the second role")
         sp.add_argument(
             "--limit",
-            type=int,
+            type=cap,
             default=DEFAULT_TABLE_CAP,
             help="largest table that may be built (entries)",
         )
@@ -85,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(sp)
         sp.add_argument(
             "--oracle-cap",
-            type=int,
+            type=cap,
             default=DEFAULT_ORACLE_CAP,
             help="largest target x the brute-force oracle will sweep",
         )

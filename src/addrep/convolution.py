@@ -2,14 +2,15 @@
 
 What the recursion's step leaves after subtracting the running tail is
 the convolution of the two sequences' indicator vectors, so a whole
-series costs O(K log K) for K targets.  ``EVEN_ODD``
-(roles fixed by parity) counts ``N_AB``; the unordered kinds count
-``(2 N_AB - N_WW + delta) / 2`` with ``W = A & B`` and ``delta(x) =
-[x/2 in W]``, the step formula's correction for shared terms.
-``count_series`` finds W once by ``shared_terms`` (A itself for equal
-sequences and A within B; B for B within A, swapped with A then), has a
-route return ``N_AB`` or ``2 N_AB - N_WW`` exactly, then adds delta and
-halves, refusing an odd doubled count.
+series costs O(K log K) for K targets.  ``EVEN_ODD`` (roles fixed by
+parity) counts ``N_AB``; the unordered kinds count ``(2 N_AB - N_WW +
+delta) / 2`` with ``W = A & B`` and ``delta(x) = [x/2 in W]``, the step
+formula's correction for shared terms.  Each route computes one product:
+``N_AB``, ``N_AA`` for equal sequences, or the paper's subset form
+``N_A(2B - A)`` when W = A.  ``count_series`` finds W once by
+``shared_terms`` (B within A is taken as A within B, sides swapped), and
+a partly shared pair takes two products, ``2 N_AB`` less ``N_WW``.  It
+then adds delta and halves, refusing an odd doubled count.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the kind's base.  Float results not within
@@ -20,13 +21,12 @@ of h, each transformed once at a length holding 2h - 1 entries, and the
 products of block i with block s - i, summed over i, give the counts at
 indices s h to s h + 2h - 2 by one inverse transform per diagonal s.  The
 diagonals run from the last down, so block s's spectra are dropped once
-diagonal s is done, and no transform is longer than about 2K / m.  For A
-within B (the paper's subset formula; Chen's odd primes within the
-primes-or-odd-semiprimes) the spectra ``fa (2 fb - fa)`` take two sides'
-blocks where ``2 fa fb - fw fw`` takes three.
+diagonal s is done, and no transform is longer than about 2K / m.  The
+subset form's spectra ``fa (2 fb - fa)`` hold two sides' blocks, and a
+product never holds more.
 
-When one side has only k terms, k shifted adds of the other side's
-indicator O (2 O at a term outside W, 2 O - W at one in it) need no
+When one side has only k terms, k shifted adds of one int8 row (the
+other side's indicator, or ``2 [B] - [A]`` for the subset form) need no
 transform; ``count_series`` takes that route when its estimated cost
 (``_SHIFT_CALL``, ``_TRANSFORM_CALL``) is the lower.
 """
@@ -108,12 +108,14 @@ def count_series(
     length = fast_length(2 * size - 1)
     transforms = 2 if b is None else 3 if w is None or w is a else 4
     short = len(a) if b is None else min(len(a), len(b))
-    if short * (size + _SHIFT_CALL) <= transforms * (
-        length * math.log2(length) + _TRANSFORM_CALL
-    ):
-        counts = _by_shifts(size, a, b, w)
-    else:
-        counts = _by_fft(size, a, b, w)
+    transform_cost = transforms * (length * math.log2(length) + _TRANSFORM_CALL)
+    route = _by_shifts if short * (size + _SHIFT_CALL) <= transform_cost else _by_fft
+    if w is None or w is a:
+        counts = route(size, a, b, w is a and b is not None)
+    else:  # 2 N_AB - N_WW, one product at a time
+        counts = route(size, a, b, False)
+        counts *= 2
+        counts -= route(size, w, None, False)
     if w is None:
         return counts
     # delta(x) = [x/2 in W] is 1 at the even index 2 (w // 2) of each w in W.
@@ -127,8 +129,8 @@ def count_series(
     return counts
 
 
-def _by_fft(size, a, b, w) -> np.ndarray:
-    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by block transforms."""
+def _by_fft(size, a, b, subset) -> np.ndarray:
+    """N_AB, N_AA if ``b`` is None, or N_A(2B - A) if ``subset``, by block transforms."""
     h = -(-size // min(_BLOCKS, size))
     m = -(-size // h)  # no empty block: 17 targets in 16 blocks take 9 of 2
     length = fast_length(2 * h - 1)
@@ -145,18 +147,13 @@ def _by_fft(size, a, b, w) -> np.ndarray:
 
     fa = spectra(a)
     fb = fa if b is None else spectra(b)
-    fw = None if w is None or w is a else spectra(w)
-    if w is a and b is not None:  # fa (2 fb - fa), with 2 fb - fa in fb's place
+    if subset:  # fa (2 fb - fa), with 2 fb - fa in fb's place
         for j in range(m):
             fb[j] *= 2
             fb[j] -= fa[j]
     out = [None] * m
     for s in reversed(range(m)):
         spectrum = _diagonal(fa, fb, s)
-        if fw is not None:  # 2 fa fb - fw fw
-            spectrum *= 2
-            spectrum -= _diagonal(fw, fw, s)
-            fw[s] = None
         fa[s] = fb[s] = None  # no lower diagonal takes block s
         n = min(2 * h - 1, size - s * h)
         counts = exact_counts(np.fft.irfft(spectrum, length)[:n])
@@ -181,17 +178,14 @@ def _diagonal(x, y, s) -> np.ndarray:
     return total
 
 
-def _by_shifts(size, a, b, w) -> np.ndarray:
-    """N_AB when ``w`` is None, else 2 N_AB - N_WW, by shifted adds."""
-    short, other = sorted((a, a if b is None else b), key=len)
-    outside = np.zeros(size, dtype=np.int8)
-    outside[other // 2] = 1 if w is None else 2
-    inside = outside.copy()
-    if w is not None:  # W lies within both sides: 2 O - W is 1 on W
-        inside[w // 2] = 1
-    index = short // 2
-    in_w = inside[index] < outside[index]
+def _by_shifts(size, a, b, subset) -> np.ndarray:
+    """N_AB, N_AA if ``b`` is None, or N_A(2B - A) if ``subset``, by shifted adds."""
+    short, other = sorted((a, a if b is None else b), key=len)  # A first if A within B
+    row = np.zeros(size, dtype=np.int8)
+    row[other // 2] = 2 if subset else 1
+    if subset:
+        row[short // 2] -= 1
     counts = np.zeros(size, dtype=np.int64)
-    for i, shared in zip(index.tolist(), in_w.tolist()):
-        counts[i:] += (inside if shared else outside)[: size - i]
+    for i in (short // 2).tolist():
+        counts[i:] += row[: size - i]
     return counts

@@ -78,3 +78,24 @@ def random_subset_pair(rng: random.Random, kind: EvaluatorKind, limit: int):
     small_terms = [t for t in big.terms if rng.random() < 0.6]
     small = ParitySequence(small_terms, pa, limit)
     return small, big
+
+
+def direct_unordered_functional(a, b, w, x):
+    """The one-shot (non-incremental) form of the odd-odd/even-even step."""
+    half = x // 2
+    s1 = sum(a.counting(x - t) for t in b.terms if t <= half)
+    s2 = sum(b.counting(x - s) for s in a.terms if s <= half)
+    s3 = sum(w.counting(x - u) for u in w.terms if u <= half)
+    return (
+        s1 + s2 - s3
+        - a.counting(half) * b.counting(half)
+        + math.comb(w.counting(half) + 1, 2)
+    )
+
+
+def direct_role_functional(u, v, x):
+    """The one-shot form of the even-odd step."""
+    half = (x + 1) // 2
+    s1 = sum(u.counting(x - t) for t in v.terms if t <= half)
+    s2 = sum(v.counting(x - s) for s in u.terms if s <= half)
+    return s1 + s2 - u.counting(half) * v.counting(half)

@@ -26,6 +26,8 @@ from conftest import (
     GOLDBACH_30,
     LEMOINE_26,
     TWO_TRIANGULAR_26,
+    direct_role_functional,
+    direct_unordered_functional,
     factor_count,
     random_pair,
     random_subset_pair,
@@ -167,25 +169,6 @@ def test_criterion_7_counting_functions():
     _report(7, "semiprime counters to 10^4 and factorial pi formula to 40", ok)
 
 
-def _direct_unordered_functional(a, b, w, x):
-    half = x // 2
-    s1 = sum(a.counting(x - t) for t in b.terms if t <= half)
-    s2 = sum(b.counting(x - s) for s in a.terms if s <= half)
-    s3 = sum(w.counting(x - u) for u in w.terms if u <= half)
-    return (
-        s1 + s2 - s3
-        - a.counting(half) * b.counting(half)
-        + math.comb(w.counting(half) + 1, 2)
-    )
-
-
-def _direct_role_functional(u, v, x):
-    half = (x + 1) // 2
-    s1 = sum(u.counting(x - t) for t in v.terms if t <= half)
-    s2 = sum(v.counting(x - s) for s in u.terms if s <= half)
-    return s1 + s2 - u.counting(half) * v.counting(half)
-
-
 def test_criterion_8_incremental_identity():
     ok = True
     detail = ""
@@ -198,8 +181,8 @@ def test_criterion_8_incremental_identity():
         oracle = brute_count_series(a, b, x_last, base=2)
         for x in range(2, x_last - 1, 2):
             delta = (
-                _direct_unordered_functional(a, b, w, x + 2)
-                - _direct_unordered_functional(a, b, w, x)
+                direct_unordered_functional(a, b, w, x + 2)
+                - direct_unordered_functional(a, b, w, x)
             )
             if delta != oracle.value_at(x + 2):
                 ok = False
@@ -214,7 +197,7 @@ def test_criterion_8_incremental_identity():
             x_last = 1 + 2 * ((limit - 1) // 2)
             oracle = brute_count_series(u, v, x_last, role_tagged=True, base=1)
             for x in range(1, x_last - 1, 2):
-                delta = _direct_role_functional(u, v, x + 2) - _direct_role_functional(u, v, x)
+                delta = direct_role_functional(u, v, x + 2) - direct_role_functional(u, v, x)
                 if delta != oracle.value_at(x + 2):
                     ok = False
                     detail = f"even-odd instance {i} at x={x + 2}"

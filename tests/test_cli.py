@@ -169,6 +169,17 @@ def test_compute_table_budget(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("compute", "--limit", "-5"),  # not the resource error "above the --limit cap -5"
+    ("verify", "--oracle-cap", "-1"),  # refused before any x is checked against it
+])
+def test_a_negative_cap_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "goldbach", "--n-max", "3", flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: must be at least 0, not {value}" in capsys.readouterr().err
+
+
 def test_custom_table_budget_is_checked_before_either_file_is_read(tmp_path, monkeypatch,
                                                                     capsys):
     import addrep.cli as cli
@@ -372,6 +383,15 @@ def test_bench_smoke(capsys):
     assert lines[-1].startswith("40,")
     for line in lines[1:]:
         assert float(line.split(",")[1]) >= 0.0
+
+
+def test_bench_leaves_the_oracle_cell_empty_past_the_cap(capsys):
+    # n = 40 is x = 80, past the cap of 50; n = 10 and 20 are within it.
+    code = main(["bench", "--problem", "goldbach", "--n-max", "40", "--oracle-cap", "50"])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["10", "20", "40"]
+    assert [row[3] == "" for row in rows] == [False, False, True]
 
 
 def test_bench_two_squares_bijection_column(capsys):

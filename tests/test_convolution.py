@@ -269,14 +269,15 @@ def test_rounding_guard_raises_off_integer_values():
             exact_counts(np.array([1.0, 4.0 + off, 2.0]))
 
 
-@pytest.mark.parametrize("shape", ["goldbach", "chen", "lemoine-levy"])
+@pytest.mark.parametrize("shape", ["goldbach", "chen", "lemoine-levy", "partly shared"])
 def test_transform_route_peak_memory_per_target(shape):
     # Each side's m block spectra hold about h + 1 complex entries per h
     # targets, 16 B per target a side.  A pair holds two sides at the last
     # diagonal, an equal pair one, each with one diagonal's spectrum, its
     # inverse and a block of indicator: 34 and 18.7 B per target at m = 16.
     # Block s's spectra are dropped once diagonal s is done, as the
-    # output's int64 blocks grow.
+    # output's int64 blocks grow.  A partly shared pair runs N_AB, then
+    # N_WW beside N_AB's int64 counts: two sides at a time, never three.
     n = 10**5
     tables = build_sieve(2 * n)
     odd_primes = make_sequence(SequenceKind.ODD_PRIMES, 2 * n, tables=tables).terms
@@ -286,6 +287,7 @@ def test_transform_route_peak_memory_per_target(shape):
             SequenceKind.PRIME_OR_ODD_SEMIPRIME, 2 * n, tables=tables).terms, 36),
         "lemoine-levy": (EvaluatorKind.EVEN_ODD, 2 * n - 1, make_sequence(
             SequenceKind.DOUBLED_PRIMES, 2 * n, tables=tables).terms, odd_primes, 36),
+        "partly shared": (EvaluatorKind.ODD_ODD, 2 * n, odd_primes[::2], odd_primes[1::3], 36),
     }[shape]
     count_series(kind, x_max, a, b)  # numpy's plan for this length, made once
     tracemalloc.start()

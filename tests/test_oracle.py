@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrep.applications import PROBLEMS
-from addrep.errors import LimitExceededError
+from addrep.errors import LimitExceededError, SequenceFormatError
 from addrep.oracle import (
     brute_count,
     brute_count_series,
@@ -19,7 +19,7 @@ from addrep.oracle import (
 )
 from addrep.sequences import Parity, ParitySequence, SequenceKind, make_sequence
 from conftest import random_pair
-from addrep.recursion import EvaluatorKind
+from addrep.recursion import EvaluatorKind, RecursionEvaluator
 
 
 # --- brute_count -------------------------------------------------------------
@@ -227,6 +227,32 @@ def test_inverse_precondition():
         square_to_triangular(2, 2)  # 8 is 0 mod 4
     with pytest.raises(ValueError):
         square_to_triangular(-1, 2)
+
+
+_ODDS = make_sequence(SequenceKind.ALL_ODD, 10)
+_ODD_1 = ParitySequence([1], Parity.ODD, 1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: brute_count(_ODDS, _ODDS, -1), ValueError, "nonnegative",
+                 id="brute_count-negative-x"),
+    pytest.param(lambda: brute_count_series(_ODDS, _ODDS, 5), ValueError,
+                 "not on the argument lattice of 2", id="brute_series-off-lattice"),
+    pytest.param(lambda: brute_count_series(_ODDS, _ODDS, 12), LimitExceededError,
+                 "beyond limits 10/10", id="brute_series-past-limits"),
+    pytest.param(lambda: triangular_to_square(-1, 0), ValueError, "nonnegative",
+                 id="triangular_to_square-negative"),
+    pytest.param(lambda: verify_remark_identity(0), ValueError, "positive",
+                 id="remark_identity-zero"),
+    pytest.param(lambda: RecursionEvaluator(EvaluatorKind.ODD_ODD, _ODD_1, _ODD_1),
+                 LimitExceededError, "limit 1 is below the base argument 2",
+                 id="recursion-limit-below-base"),
+    pytest.param(lambda: make_sequence(SequenceKind.ODD_PRIMES, 10, terms=[1]),
+                 SequenceFormatError, "only accepted for CUSTOM", id="built-in-kind-given-terms"),
+])
+def test_arguments_out_of_range_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -21,7 +20,12 @@ from addrep.recursion import (
     _capped_sum,
 )
 from addrep.sequences import Parity, ParitySequence, SequenceKind, intersect, make_sequence
-from conftest import random_pair, random_subset_pair
+from conftest import (
+    direct_role_functional,
+    direct_unordered_functional,
+    random_pair,
+    random_subset_pair,
+)
 
 
 def _all_odd(limit):
@@ -488,27 +492,6 @@ def test_empty_sequences_give_zero_counts():
 
 # --- the incremental identity ------------------------------------------------
 
-def _direct_unordered_functional(a, b, w, x):
-    """The one-shot (non-incremental) form of the odd-odd/even-even step."""
-    half = x // 2
-    s1 = sum(a.counting(x - t) for t in b.terms if t <= half)
-    s2 = sum(b.counting(x - s) for s in a.terms if s <= half)
-    s3 = sum(w.counting(x - u) for u in w.terms if u <= half)
-    return (
-        s1 + s2 - s3
-        - a.counting(half) * b.counting(half)
-        + math.comb(w.counting(half) + 1, 2)
-    )
-
-
-def _direct_role_functional(u, v, x):
-    """The one-shot form of the even-odd step."""
-    half = (x + 1) // 2
-    s1 = sum(u.counting(x - t) for t in v.terms if t <= half)
-    s2 = sum(v.counting(x - s) for s in u.terms if s <= half)
-    return s1 + s2 - u.counting(half) * v.counting(half)
-
-
 def test_incremental_identity_odd_odd():
     rng = random.Random(5150)
     for _ in range(6):
@@ -518,7 +501,7 @@ def test_incremental_identity_odd_odd():
         x_last = 2 + 2 * ((limit - 2) // 2)
         oracle = brute_count_series(a, b, x_last, base=2)
         for x in range(2, x_last - 1, 2):
-            delta = _direct_unordered_functional(a, b, w, x + 2) - _direct_unordered_functional(a, b, w, x)
+            delta = direct_unordered_functional(a, b, w, x + 2) - direct_unordered_functional(a, b, w, x)
             assert delta == oracle.value_at(x + 2)
 
 
@@ -530,7 +513,7 @@ def test_incremental_identity_even_odd():
         x_last = 1 + 2 * ((limit - 1) // 2)
         oracle = brute_count_series(a, b, x_last, role_tagged=True, base=1)
         for x in range(1, x_last - 1, 2):
-            delta = _direct_role_functional(a, b, x + 2) - _direct_role_functional(a, b, x)
+            delta = direct_role_functional(a, b, x + 2) - direct_role_functional(a, b, x)
             assert delta == oracle.value_at(x + 2)
 
 
