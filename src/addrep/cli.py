@@ -175,7 +175,9 @@ def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
     """The text of ``literals[0] r0 literals[1] r1 ... literals[-1]`` for
     each row (r0, r1, ...) of ``columns``, equal-length nonnegative int64
     arrays or ranges, one block of rows at a time.  A range's block is
-    built by ``np.arange``, so keys never take a full-length array."""
+    built by ``np.arange``, so keys never take a full-length array.  The
+    writers hand it to ``writelines``, which drops each block's text before
+    the next is formatted."""
     literal_bytes = [np.frombuffer(text.encode("ascii"), dtype=np.uint8) for text in literals]
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         block = [column[start : start + BLOCK_ROWS] for column in columns]
@@ -212,14 +214,12 @@ def write_bfile(fh, columns, header_lines) -> None:
     """Header lines, then one 'n a(n)' line per row of ``columns``, the keys
     n and the counts a(n) (see ``_format_rows``)."""
     fh.write("".join(line + "\n" for line in header_lines))
-    for text in _format_rows(columns, ["", " ", "\n"]):
-        fh.write(text)
+    fh.writelines(_format_rows(columns, ["", " ", "\n"]))
 
 
 def write_csv(fh, columns, header_lines) -> None:
     fh.write("".join(line + "\n" for line in header_lines) + "n,count\n")
-    for text in _format_rows(columns, ["", ",", "\n"]):
-        fh.write(text)
+    fh.writelines(_format_rows(columns, ["", ",", "\n"]))
 
 
 def write_json(fh, columns, meta) -> None:
@@ -230,13 +230,12 @@ def write_json(fh, columns, meta) -> None:
     if not len(columns[0]):
         fh.write(head + "\n")
         return
-    fh.write(head.removesuffix("[]\n}") + "[\n")
-    blocks = _format_rows(columns, ["    [\n      ", ",\n      ", "\n    ],\n"])
-    text = next(blocks)
-    for following in blocks:
-        fh.write(text)
-        text = following
-    fh.write(text.removesuffix(",\n") + "\n  ]\n}\n")
+    fh.write(head.removesuffix("[]\n}") + "[")
+    # Each row opens with its separator; the first block drops its comma.
+    blocks = _format_rows(columns, [",\n    [\n      ", ",\n      ", "\n    ]"])
+    fh.write(next(blocks)[1:])
+    fh.writelines(blocks)
+    fh.write("\n  ]\n}\n")
 
 
 def read_bfile(path) -> list[tuple[int, int]]:
@@ -297,8 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = [f" {name}=" for name in run.label]
     literals = [f"PASS {spec.name}{names[0]}", *names[1:], " count=", "\n"]
     columns = [column[:end] for column in (*run.label.values(), got)]
-    for text in _format_rows(columns, literals):
-        sys.stdout.write(text)
+    sys.stdout.writelines(_format_rows(columns, literals))
     if end < len(got):
         label = " ".join(f"{name}={column[end]}" for name, column in run.label.items())
         sys.stdout.write(f"MISMATCH {spec.name} {label}: {route}={got[end]} oracle={want[end]}\n")

@@ -27,13 +27,12 @@ product never holds more.
 
 When one side has only k terms, k shifted adds of one int8 row (the
 other side's indicator, or ``2 [B] - [A]`` for the subset form) need no
-transform; ``count_series`` takes that route when its estimated cost
-(``_SHIFT_CALL``, ``_TRANSFORM_CALL``) is the lower.
+transform.  ``count_series`` takes that route while its passes, k plus
+|W| for a partly shared pair, are at most ``_SHIFTS_PER_SIDE`` for each
+side of block spectra the transforms would build.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,13 +41,12 @@ from .recursion import EvaluatorKind
 from .sequences import shared_terms
 
 
-# The two routes' costs in units of one entry of a shifted add.  Measured
-# on a 2-core x86_64 host with numpy 2.4: a shifted add costs 0.6-1.9 ns
-# per entry plus about 1.5 us per call, and a real transform of length L
-# costs 0.9-2.3 ns per L log2 L plus about 6 us per call.  So a pass over K
-# entries costs K + _SHIFT_CALL and a transform L log2 L + _TRANSFORM_CALL.
-_SHIFT_CALL = 1_000
-_TRANSFORM_CALL = 5_000
+# Shifted adds per side of block spectra at which the routes cost about the
+# same: an add is one pass over the K targets, and a side (1 for an equal
+# pair, 2 for a pair, 3 for a partly shared one) is m block transforms and
+# its share of the products.  Forced routes crossed over at 120-260 adds per
+# side for K = 1.5e4 to 1e7 (2-core x86_64, numpy 2.4; scripts/fit_routes.py).
+_SHIFTS_PER_SIDE = 180
 
 # Blocks per side on the transform route: more shorten the transforms and
 # drop spectra sooner, at m (m + 1) / 2 block products per pair.
@@ -105,11 +103,11 @@ def count_series(
     w = None if kind is EvaluatorKind.EVEN_ODD else a if b is None else shared_terms(a, b)
     if w is not None and w is b:  # the count is symmetric: take B within A as A within B
         a, b = b, a
-    length = fast_length(2 * size - 1)
-    transforms = 2 if b is None else 3 if w is None or w is a else 4
-    short = len(a) if b is None else min(len(a), len(b))
-    transform_cost = transforms * (length * math.log2(length) + _TRANSFORM_CALL)
-    route = _by_shifts if short * (size + _SHIFT_CALL) <= transform_cost else _by_fft
+    adds = len(a) if b is None else min(len(a), len(b))
+    sides = 1 if b is None else 2
+    if w is not None and w is not a:  # a second pass, over W (empty if disjoint)
+        adds, sides = adds + len(w), 3
+    route = _by_shifts if adds <= _SHIFTS_PER_SIDE * sides else _by_fft
     if w is None or w is a:
         counts = route(size, a, b, w is a and b is not None)
     else:  # 2 N_AB - N_WW, one product at a time

@@ -52,9 +52,9 @@ DEFAULT_TABLE_CAP = 50_000_000
 # Terms are validated this many at a time (see _check_terms).
 _CHECK_BLOCK = 1 << 16
 
-# A plain sequence file is read this many bytes at a time, at least one whole
-# line, and its lines hold at most this many digits, which any int64 holds
-# (see _plain_terms).
+# A plain sequence file is read at most this many bytes at a time, at least
+# one whole line, and its lines hold at most this many digits, which any int64
+# holds (see _plain_terms).
 _PARSE_BLOCK = 1 << 18
 _PLAIN_DIGITS = 18
 
@@ -558,18 +558,18 @@ def _plain_terms(path: Path, header_lineno: int) -> np.ndarray | None:
     The body is what follows the header line, and the lines up to it must
     hold no CR.  It is plain when every line is 1 to _PLAIN_DIGITS ASCII
     digits ending in ``\n``.  The body is read twice into one reused buffer
-    of _PARSE_BLOCK bytes: once to count its newlines, which sizes
-    the result, and once to parse it.  Consecutive lines of one width w make
-    a run, an (m, w + 1) uint8 view of the buffer; sorted terms without
-    leading zeros make at most _PLAIN_DIGITS runs in a block, and a block
-    with more sends the body to the general parser.  A run's bytes less
-    ord("0") go into one reused scratch buffer, with each row's last value
-    set to 0 once its byte is checked to be a newline.  The rows count up to
-    the first one without its newline or with a value of 10 or more, and
-    their digit columns are summed by Horner's rule straight into the
-    result.  A bad row ends the run and starts the next one.  The part of a
-    line left at a block's end moves to the buffer's front, and the next
-    block is read after it.
+    of its own size, kept between one whole line and _PARSE_BLOCK bytes:
+    once to count its newlines, which sizes the result, and once to parse
+    it.  Consecutive lines of one width w make a run, an (m, w + 1) uint8
+    view of the buffer; sorted terms without leading zeros make at most
+    _PLAIN_DIGITS runs in a block, and a block with more sends the body to
+    the general parser.  A run's bytes less ord("0") go into one reused
+    scratch buffer, with each row's last value set to 0 once its byte is
+    checked to be a newline.  The rows count up to the first one without its
+    newline or with a value of 10 or more, and their digit columns are
+    summed by Horner's rule straight into the result.  A bad row ends the
+    run and starts the next one.  The part of a line left at a block's end
+    moves to the buffer's front, and the next block is read after it.
     """
     with path.open("rb") as fh:
         for _ in range(header_lineno):
@@ -577,9 +577,10 @@ def _plain_terms(path: Path, header_lineno: int) -> np.ndarray | None:
             if not line.endswith(b"\n") or b"\r" in line:
                 return None  # text mode split the header's lines at CR as well
         start = fh.tell()
-        buf = bytearray(_PARSE_BLOCK)
+        block = min(max(path.stat().st_size - start, _PLAIN_DIGITS + 2), _PARSE_BLOCK)
+        buf = bytearray(block)
         data = np.frombuffer(buf, dtype=np.uint8)
-        scratch = np.empty(_PARSE_BLOCK, dtype=np.uint8)
+        scratch = np.empty(block, dtype=np.uint8)
         newlines = 0
         while size := fh.readinto(buf):
             newlines += np.count_nonzero(np.equal(data[:size], 10, out=scratch[:size].view(bool)))

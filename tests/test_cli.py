@@ -551,6 +551,11 @@ def test_limit_option_reaches_the_sieve(monkeypatch, capsys):
 def test_rounding_guard_exits_with_resource_code(monkeypatch, capsys):
     import numpy as np
 
+    from addrep import convolution
+
+    # The 16 odd primes below 60 would take the shifted adds, so the
+    # transforms are forced, as in tests/test_convolution.py.
+    monkeypatch.setattr(convolution, "_SHIFTS_PER_SIDE", -1)
     irfft = np.fft.irfft
     for off in (0.3, np.nan):
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + off)
@@ -692,7 +697,7 @@ def test_writers_build_a_range_key_column_block_by_block(keys):
 
 @pytest.mark.parametrize("literals, peak_kb", [
     (["", " ", "\n"], 640),  # bfile: 584 KB traced in 2^13-row blocks
-    (["    [\n      ", ",\n      ", "\n    ],\n"], 1440),  # JSON: 1310 KB
+    ([",\n    [\n      ", ",\n      ", "\n    ]"], 1440),  # JSON: 1310 KB
 ])
 def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
     # 10^5 rows in 2^13-row blocks; one block of 2^14 rows traced 1163 and
@@ -711,6 +716,40 @@ def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
     finally:
         tracemalloc.stop()
     assert length > 10 * n_max
+    assert peak <= peak_kb * 1024, peak
+
+
+@pytest.mark.parametrize("writer, context, peak_kb", [
+    ("write_bfile", ["# h"], 540),  # 498 KB traced; 583 holding the last block's text
+    ("write_csv", ["# h"], 540),
+    ("write_json", {"problem": "goldbach"}, 1120),  # 1020 KB traced; 1313 holding it
+])
+def test_writers_hold_one_block_at_a_time(writer, context, peak_kb):
+    # The same 10^5 rows through each writer: no block's text is kept while
+    # the next one is formatted, the JSON writer's first comma included.
+    import io
+    import tracemalloc
+
+    import addrep.cli as cli
+    from addrep.applications import PROBLEMS
+
+    class Sink(io.TextIOBase):
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+            return len(text)
+
+    n_max = 10**5
+    counts = PROBLEMS["goldbach"].counts(n_max)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        getattr(cli, writer)(sink, (range(1, n_max + 1), counts), context)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 10 * n_max
     assert peak <= peak_kb * 1024, peak
 
 

@@ -24,12 +24,12 @@ def _sequence(parity: Parity, limit: int, slots) -> ParitySequence:
 
 
 def _forced(route, *args):
-    """count_series with its cost model rigged to take ``route``, so the
-    shared-term tail runs as it does on the route's own choice."""
+    """count_series with its route threshold rigged to take ``route``, so
+    the shared-term tail runs as it does on the route's own choice."""
     with pytest.MonkeyPatch.context() as patch:
-        # A transform cost of +-10^15 entries outweighs any test's shifts,
-        # or undercuts even an empty side's.
-        patch.setattr(convolution, "_TRANSFORM_CALL", 10**15 if route == "shifts" else -10**15)
+        # 10^15 shifted adds per side outrun any test's sides, and no side's
+        # adds, not even an empty side's 0, are at most -1.
+        patch.setattr(convolution, "_SHIFTS_PER_SIDE", 10**15 if route == "shifts" else -1)
         return count_series(*args)
 
 
@@ -125,6 +125,78 @@ def test_transform_blocks_against_brute_force(case, swap):
             patch.setattr(convolution, "_BLOCKS", blocks)
             got = _forced("transform", kind, x_last, a.terms, b_terms).tolist()
         assert got == want, blocks
+
+
+# Hand-picked slots of A against B's, per relation, at limit 41: 20 targets
+# for odd-odd, 21 for even-even and even-odd.  "superset" puts B within A.
+_FIXED_B = {0, 1, 2, 4, 5, 7, 9, 10, 13, 16, 19}
+_FIXED_A = {
+    "independent": {0, 3, 4, 8, 11, 12, 17, 20},
+    "subset": {1, 4, 9, 16},
+    "superset": _FIXED_B | {3, 12, 20},
+    "equal": _FIXED_B,
+    "overlapping": {2, 3, 5, 6, 14, 19},
+    "disjoint": {3, 6, 8, 11, 20},
+}
+
+
+def test_fixed_pairs_against_brute_force():
+    # Every kind and relation by both forced routes, the transforms cut into
+    # 1, 2 and 3 blocks (the last one short) and into one block per target;
+    # equal sequences also run as a pair.  A fast check of what the
+    # property tests below check over drawn pairs.
+    limit = 41
+    for kind in EvaluatorKind:
+        pa, pb = kind.parities
+        b = _sequence(pb, limit, _FIXED_B)
+        x_last = kind.base + 2 * ((limit - kind.base) // 2)
+        size = (x_last - kind.base) // 2 + 1
+        relations = ["independent"] if kind is EvaluatorKind.EVEN_ODD else _FIXED_A
+        for relation in relations:
+            a = _sequence(pa, limit, _FIXED_A[relation])
+            want = brute_count_series(
+                a, b, x_last, role_tagged=kind is EvaluatorKind.EVEN_ODD, base=kind.base
+            ).values
+            for b_terms in [b.terms] + ([None] if relation == "equal" else []):
+                got = _forced("shifts", kind, x_last, a.terms, b_terms).tolist()
+                assert got == want, (kind, relation, "shifts")
+                for blocks in (1, 2, 3, size):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(convolution, "_BLOCKS", blocks)
+                        got = _forced("transform", kind, x_last, a.terms, b_terms).tolist()
+                    assert got == want, (kind, relation, blocks)
+
+
+@pytest.mark.parametrize("shape", ["equal", "contained", "even-odd", "partly shared"])
+def test_route_threshold_is_shifted_adds_per_side(monkeypatch, shape):
+    # The shifts run while their adds (the short side's terms, plus W's for
+    # a partly shared pair's second pass) are at most _SHIFTS_PER_SIDE for
+    # each side of block spectra the transforms would build: 1 for an equal
+    # pair, 2 for a pair, 3 for a partly shared one (A and B, then W).  One
+    # term more takes the transforms.
+    taken = []
+    for name in ("_by_shifts", "_by_fft"):
+        route = getattr(convolution, name)
+        monkeypatch.setattr(convolution, name,
+                            lambda *args, name=name, route=route: taken.append(name) or route(*args))
+    sides = {"equal": 1, "contained": 2, "even-odd": 2, "partly shared": 3}[shape]
+    limit = convolution._SHIFTS_PER_SIDE * 12
+    odd, even = np.arange(1, limit, 2), np.arange(0, limit, 2)
+    for adds in (convolution._SHIFTS_PER_SIDE * sides, convolution._SHIFTS_PER_SIDE * sides + 1):
+        kind, b = EvaluatorKind.ODD_ODD, odd
+        if shape == "equal":
+            a, b = odd[:adds], None
+        elif shape == "contained":
+            a = odd[:adds]
+        elif shape == "even-odd":
+            kind, a = EvaluatorKind.EVEN_ODD, even[:adds]
+        else:  # adds // 3 of A's terms are B's, so W holds adds // 3
+            b, shared = odd[::2], adds // 3
+            a = np.sort(np.concatenate((odd[::2][:shared], odd[1::2][: adds - 2 * shared])))
+        taken.clear()
+        count_series(kind, limit - 1, a, b)
+        want = "_by_shifts" if adds == convolution._SHIFTS_PER_SIDE * sides else "_by_fft"
+        assert taken and set(taken) == {want}, adds
 
 
 @pytest.mark.parametrize("kind", list(EvaluatorKind))
