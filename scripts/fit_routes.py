@@ -9,6 +9,7 @@ unforced.  The shapes, at targets up to about 2K:
 - equal: k odd terms drawn from the odd numbers, as both sequences;
 - contained: k of the odd primes against the odd primes (W = A);
 - even-odd: k even terms against the odd primes;
+- disjoint: k odd composites against the odd primes, so W is empty;
 - partly shared: k/2 odd primes and k/2 odd composites against the odd
   primes, so W holds k/2 terms.
 
@@ -34,7 +35,7 @@ from addrep import convolution
 from addrep.recursion import EvaluatorKind
 from addrep.sequences import SequenceKind, make_sequence
 
-SHAPES = ("equal", "contained", "even-odd", "partly shared")
+SHAPES = ("equal", "contained", "even-odd", "disjoint", "partly shared")
 
 
 def pair(shape: str, size: int, k: int, odd_primes: np.ndarray, rng):
@@ -50,6 +51,8 @@ def pair(shape: str, size: int, k: int, odd_primes: np.ndarray, rng):
     if shape == "even-odd":
         return EvaluatorKind.EVEN_ODD, 2 * size - 1, draw(np.arange(0, 2 * size, 2), k), odd_primes
     composites = np.setdiff1d(odd, odd_primes, assume_unique=True)
+    if shape == "disjoint":
+        return EvaluatorKind.ODD_ODD, 2 * size, draw(composites, k), odd_primes
     a = np.sort(np.concatenate((draw(odd_primes, k // 2), draw(composites, k - k // 2))))
     return EvaluatorKind.ODD_ODD, 2 * size, a, odd_primes
 

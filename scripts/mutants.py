@@ -192,6 +192,12 @@ MUTANTS = (
         (_THRESHOLD,),
     ),
     Mutant(
+        "convolution: a disjoint pair keeps its empty W", "src/addrep/convolution.py",
+        "and not len(w):  # disjoint",
+        "and False:  # disjoint",
+        ("tests/test_convolution.py::test_a_disjoint_pair_takes_one_product", _THRESHOLD),
+    ),
+    Mutant(
         "convolution: parity check dropped", "src/addrep/convolution.py",
         "if odd.any():",
         "if False:",
@@ -204,6 +210,12 @@ MUTANTS = (
         "else self._a if seq_w is seq_a",
         "else self._b if seq_w is seq_a",
         ("tests/test_convolution.py::test_engine_equals_recursion_and_oracle",),
+    ),
+    Mutant(
+        "recursion: a disjoint pair keeps its empty W", "src/addrep/recursion.py",
+        "and not len(seq_w) and",
+        "and False and",
+        ("tests/test_recursion.py::test_a_disjoint_pair_sums_over_a_and_b_alone",),
     ),
     Mutant(
         "recursion: even-odd takes A as its shared part", "src/addrep/recursion.py",
@@ -309,6 +321,18 @@ MUTANTS = (
         "BLOCK_ROWS):\n        block = [column[start : start + BLOCK_ROWS]",
         "max(BLOCK_ROWS, len(columns[0]))):\n"
         "        block = [column[start : start + max(BLOCK_ROWS, len(columns[0]))]",
+        ("tests/test_cli.py::test_row_writer_peak_memory_is_one_block",),
+    ),
+    Mutant(
+        "cli: leading zeros written as '0'", "src/addrep/cli.py",
+        "mat[values == 0, j] = 0",
+        'mat[values == 0, j] = ord("0")',
+        ("tests/test_cli.py::test_writers_match_the_f_string_and_json_output",),
+    ),
+    Mutant(
+        "cli: the digit matrix kept beside its bytes", "src/addrep/cli.py",
+        "    del mat  # before",
+        "    pass  # before",
         ("tests/test_cli.py::test_row_writer_peak_memory_is_one_block",),
     ),
 )

@@ -172,12 +172,14 @@ def _compute_rows(args: argparse.Namespace):
 
 
 def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
-    """The text of ``literals[0] r0 literals[1] r1 ... literals[-1]`` for
-    each row (r0, r1, ...) of ``columns``, equal-length nonnegative int64
-    arrays or ranges, one block of rows at a time.  A range's block is
-    built by ``np.arange``, so keys never take a full-length array.  The
-    writers hand it to ``writelines``, which drops each block's text before
-    the next is formatted."""
+    """The text of ``literals[0] r0 literals[1] r1 ... literals[-1]`` for each row
+    (r0, r1, ...) of ``columns``, equal-length nonnegative int64 arrays or ranges,
+    one block of rows at a time; a literal holding NUL raises ValueError.  A range's
+    block is built by ``np.arange``, so keys never take a full-length array.  The
+    writers hand it to ``writelines``, which drops each block's text before the next
+    is formatted."""
+    if any("\0" in text for text in literals):
+        raise ValueError("a row literal holds NUL, the writer's leading-zero mark")
     literal_bytes = [np.frombuffer(text.encode("ascii"), dtype=np.uint8) for text in literals]
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         block = [column[start : start + BLOCK_ROWS] for column in columns]
@@ -187,27 +189,25 @@ def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
 
 
 def _format_block(block: list[np.ndarray], literal_bytes: list[np.ndarray]) -> str:
-    """One block of ``_format_rows``: a uint8 matrix, one line of it per row,
-    with a field per column as wide as the block's largest value.  Repeated
-    ``// 10`` fills the fields with digits, and their leading zeros are
-    masked out when the matrix is flattened."""
+    """One block of ``_format_rows``: a uint8 line per row, a field per column as
+    wide as the block's largest value, digits by ``// 10`` and NUL for leading zeros."""
     widths = [len(str(int(values.max()))) for values in block]
     mat = np.empty((len(block[0]), sum(map(len, literal_bytes)) + sum(widths)), np.uint8)
-    keep = np.ones(mat.shape, dtype=bool)
     end = 0  # one past the field being filled
     for literal, values, width in zip(literal_bytes, block, widths):
         mat[:, end : end + len(literal)] = literal
         end += len(literal) + width
         for j in range(end - 1, end - width - 1, -1):
-            if j < end - 1:
-                keep[:, j] = values != 0  # a leading zero once no digits are left
             quotient = values // 10
             mat[:, j] = values - 10 * quotient + ord("0")
+            if j < end - 1:
+                mat[values == 0, j] = 0  # a leading zero once no digits are left
             values = quotient
     mat[:, end:] = literal_bytes[-1]
-    text = mat[keep]
-    del mat, keep  # before the copy into a str: the block's peak memory is 3 matrices
-    return str(text, "ascii")
+    text = mat.tobytes()
+    del mat  # before the NULs go: the block's peak memory is 2 buffers
+    text = text.replace(b"\0", b"")
+    return text.decode("ascii")
 
 
 def write_bfile(fh, columns, header_lines) -> None:

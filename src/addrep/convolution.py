@@ -8,9 +8,9 @@ delta) / 2`` with ``W = A & B`` and ``delta(x) = [x/2 in W]``, the step
 formula's correction for shared terms.  Each route computes one product:
 ``N_AB``, ``N_AA`` for equal sequences, or the paper's subset form
 ``N_A(2B - A)`` when W = A.  ``count_series`` finds W once by
-``shared_terms`` (B within A is taken as A within B, sides swapped), and
-a partly shared pair takes two products, ``2 N_AB`` less ``N_WW``.  It
-then adds delta and halves, refusing an odd doubled count.
+``shared_terms`` (B within A is taken as A within B, sides swapped); a
+disjoint pair counts N_AB, and a partly shared one ``2 N_AB`` less
+``N_WW``.  It then adds delta and halves, refusing an odd doubled count.
 
 Term ``t`` sits at index ``t // 2`` and index ``k`` is the target
 ``2k + base``, with the kind's base.  Float results not within
@@ -103,9 +103,11 @@ def count_series(
     w = None if kind is EvaluatorKind.EVEN_ODD else a if b is None else shared_terms(a, b)
     if w is not None and w is b:  # the count is symmetric: take B within A as A within B
         a, b = b, a
+    if w is not None and w is not a and not len(w):  # disjoint: the count is N_AB
+        w = None
     adds = len(a) if b is None else min(len(a), len(b))
     sides = 1 if b is None else 2
-    if w is not None and w is not a:  # a second pass, over W (empty if disjoint)
+    if w is not None and w is not a:  # a second pass, over W
         adds, sides = adds + len(w), 3
     route = _by_shifts if adds <= _SHIFTS_PER_SIDE * sides else _by_fft
     if w is None or w is a:

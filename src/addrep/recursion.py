@@ -28,7 +28,7 @@ no gather is cast; an evaluator builds its own tables.
 
 W is A and B's intersection (``sequences.shared_terms``): A or B itself
 when it lies in the other, sharing that one's table, as B shares A's when
-it equals A.  Even-odd has none, since parity keeps its roles apart.
+it equals A.  Even-odd has none, and nor has a disjoint pair (W terms 0).
 The paper's subset case, A within B, is thus the general formula with
 W = A (``specialized_subset`` refuses any other pair); ``EQUAL``, for two
 equal sequences, is the theorem's corollary: one sum, with the general
@@ -169,6 +169,8 @@ class RecursionEvaluator:
             raise ContainmentError("sequences are not equal")
         # W is none for even-odd, else A & B: seq_a or seq_b when within the other.
         seq_w = None if kind is EvaluatorKind.EVEN_ODD else intersect(seq_a, seq_b)
+        if seq_w is not None and not len(seq_w) and seq_w is not seq_a and seq_w is not seq_b:
+            seq_w = None  # disjoint: the step's W terms are 0
 
         self.kind = kind
         self.formula = formula

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrep.cli import (
@@ -651,7 +651,7 @@ def row_arrays(draw):
         st.integers(0, 50),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    highs = draw(st.tuples(*[st.sampled_from([1, 10, 10**6, 10**13, INT64_MAX])] * 2))
+    highs = draw(st.tuples(*[st.sampled_from([0, 1, 9, 10, 10**6, 10**13, INT64_MAX])] * 2))
     rows = np.column_stack([rng.integers(0, high, size=length, dtype=np.int64, endpoint=True)
                             for high in highs])
     drawn = draw(st.lists(st.tuples(_int64, _int64), max_size=min(length, 20)))
@@ -662,6 +662,9 @@ def row_arrays(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(row_arrays())
+@example(np.zeros((BLOCK_ROWS + 3, 2), dtype=np.int64))  # all-zero blocks
+@example(np.arange(4 * BLOCK_ROWS + 2, dtype=np.int64).reshape(-1, 2) % 10)  # one-digit fields
+@example(np.array([[0, 7], [100, 0], [5, 12345]], dtype=np.int64))  # leading zeros in each field
 def test_writers_match_the_f_string_and_json_output(rows):
     import io
 
@@ -696,12 +699,15 @@ def test_writers_build_a_range_key_column_block_by_block(keys):
 
 
 @pytest.mark.parametrize("literals, peak_kb", [
-    (["", " ", "\n"], 640),  # bfile: 584 KB traced in 2^13-row blocks
-    ([",\n    [\n      ", ",\n      ", "\n    ]"], 1440),  # JSON: 1310 KB
+    (["", " ", "\n"], 560),  # bfile: 496 KB traced; 584 with a leading-zero mask
+    ([",\n    [\n      ", ",\n      ", "\n    ]"], 1180),  # JSON: 1014 KB
+    (["PASS goldbach n=", " x=", " count=", "\n"], 1380),  # verify's PASS lines: 1199 KB
 ])
 def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
-    # 10^5 rows in 2^13-row blocks; one block of 2^14 rows traced 1163 and
-    # 2615 KB, so a writer that formats more rows at a time fails.
+    # 10^5 rows in 2^13-row blocks, at most two block-sized buffers at a
+    # time: keeping the digit matrix beside its bytes traced 1310 KB for
+    # JSON and 1534 for verify.  Blocks of 2^14 rows traced 987, 2026 and
+    # 2394 KB, so a writer that formats more rows at a time fails.
     import tracemalloc
 
     from addrep.applications import PROBLEMS
@@ -709,9 +715,10 @@ def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
 
     n_max = 10**5
     counts = PROBLEMS["goldbach"].counts(n_max)
+    keys = [range(1, n_max + 1), range(4, 2 * n_max + 3, 2)][: len(literals) - 2]
     tracemalloc.start()
     try:
-        length = sum(len(text) for text in _format_rows((range(1, n_max + 1), counts), literals))
+        length = sum(len(text) for text in _format_rows((*keys, counts), literals))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,9 +727,9 @@ def test_row_writer_peak_memory_is_one_block(literals, peak_kb):
 
 
 @pytest.mark.parametrize("writer, context, peak_kb", [
-    ("write_bfile", ["# h"], 540),  # 498 KB traced; 583 holding the last block's text
-    ("write_csv", ["# h"], 540),
-    ("write_json", {"problem": "goldbach"}, 1120),  # 1020 KB traced; 1313 holding it
+    ("write_bfile", ["# h"], 470),  # 410 KB traced; 498 with a leading-zero mask
+    ("write_csv", ["# h"], 470),
+    ("write_json", {"problem": "goldbach"}, 880),  # 724 KB traced; 1019 with the matrix kept
 ])
 def test_writers_hold_one_block_at_a_time(writer, context, peak_kb):
     # The same 10^5 rows through each writer: no block's text is kept while
@@ -751,6 +758,14 @@ def test_writers_hold_one_block_at_a_time(writer, context, peak_kb):
         tracemalloc.stop()
     assert sink.length > 10 * n_max
     assert peak <= peak_kb * 1024, peak
+
+
+def test_row_writer_refuses_a_nul_literal():
+    # NUL marks the leading zeros that the writer drops.
+    from addrep.cli import _format_rows
+
+    with pytest.raises(ValueError, match="NUL"):
+        next(_format_rows((range(3), np.arange(3)), ["", "\0", "\n"]))
 
 
 def _run_python(*args):

@@ -167,19 +167,20 @@ def test_fixed_pairs_against_brute_force():
                     assert got == want, (kind, relation, blocks)
 
 
-@pytest.mark.parametrize("shape", ["equal", "contained", "even-odd", "partly shared"])
+@pytest.mark.parametrize("shape", ["equal", "contained", "even-odd", "disjoint", "partly shared"])
 def test_route_threshold_is_shifted_adds_per_side(monkeypatch, shape):
     # The shifts run while their adds (the short side's terms, plus W's for
     # a partly shared pair's second pass) are at most _SHIFTS_PER_SIDE for
     # each side of block spectra the transforms would build: 1 for an equal
-    # pair, 2 for a pair, 3 for a partly shared one (A and B, then W).  One
-    # term more takes the transforms.
+    # pair, 2 for a pair (a disjoint one too: its W is empty), 3 for a
+    # partly shared one (A and B, then W).  One term more takes the
+    # transforms.
     taken = []
     for name in ("_by_shifts", "_by_fft"):
         route = getattr(convolution, name)
         monkeypatch.setattr(convolution, name,
                             lambda *args, name=name, route=route: taken.append(name) or route(*args))
-    sides = {"equal": 1, "contained": 2, "even-odd": 2, "partly shared": 3}[shape]
+    sides = {"equal": 1, "contained": 2, "even-odd": 2, "disjoint": 2, "partly shared": 3}[shape]
     limit = convolution._SHIFTS_PER_SIDE * 12
     odd, even = np.arange(1, limit, 2), np.arange(0, limit, 2)
     for adds in (convolution._SHIFTS_PER_SIDE * sides, convolution._SHIFTS_PER_SIDE * sides + 1):
@@ -190,6 +191,8 @@ def test_route_threshold_is_shifted_adds_per_side(monkeypatch, shape):
             a = odd[:adds]
         elif shape == "even-odd":
             kind, a = EvaluatorKind.EVEN_ODD, even[:adds]
+        elif shape == "disjoint":
+            a, b = odd[1::2][:adds], odd[::2]
         else:  # adds // 3 of A's terms are B's, so W holds adds // 3
             b, shared = odd[::2], adds // 3
             a = np.sort(np.concatenate((odd[::2][:shared], odd[1::2][: adds - 2 * shared])))
@@ -288,6 +291,27 @@ def test_chen_contained_pair_takes_two_transforms(monkeypatch):
         assert len(calls) == 2 * blocks
         assert counts.tolist() == _forced("shifts", EvaluatorKind.ODD_ODD, x_max, a, b).tolist()
         assert len(calls) == 2 * blocks
+
+
+@pytest.mark.parametrize("route", ["shifts", "transform"])
+def test_a_disjoint_pair_takes_one_product(monkeypatch, route):
+    # Odd composites against the odd primes share no term: W is empty, so
+    # the count is N_AB, one product on either route, with no N_WW pass.
+    x_max = 2 * 10**3
+    primes = make_sequence(SequenceKind.ODD_PRIMES, x_max)
+    composites = ParitySequence(
+        np.setdiff1d(np.arange(1, x_max + 1, 2), primes.terms), Parity.ODD, x_max)
+    products = []
+    for name in ("_by_shifts", "_by_fft"):
+        product = getattr(convolution, name)
+        monkeypatch.setattr(convolution, name, lambda *args, product=product:
+                            products.append(args) or product(*args))
+    want = brute_count_series(composites, primes, x_max, base=2).values
+    for a, b in ((composites, primes), (primes, composites)):
+        products.clear()
+        assert _forced(route, EvaluatorKind.ODD_ODD, x_max, a.terms, b.terms).tolist() == want
+        assert len(products) == 1
+        assert products[0][2] is not None and not products[0][3]  # N_AB, not N_WW
 
 
 def test_a_one_term_side_runs_no_transform(monkeypatch):

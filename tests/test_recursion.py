@@ -390,6 +390,28 @@ def test_equal_pair_subset_form_matches_equal_form():
     assert equal.run_to(200).values == want
 
 
+def test_a_disjoint_pair_sums_over_a_and_b_alone(monkeypatch):
+    # 1 mod 4 against 3 mod 4 share no term: no W, so two prefix tables and
+    # two capped sums a step, with the oracle's counts.  An empty side lies
+    # within the other and stays W, so its subset form still runs.
+    limit = 200
+    a = ParitySequence(range(1, limit + 1, 4), Parity.ODD, limit)
+    b = ParitySequence(range(3, limit + 1, 4), Parity.ODD, limit)
+    tables, sums = [], []
+    table, kernel = recursion._prefix_table, recursion._capped_sum
+    monkeypatch.setattr(recursion, "_prefix_table", lambda seq: tables.append(seq) or table(seq))
+    monkeypatch.setattr(recursion, "_capped_sum", lambda *args: sums.append(args) or kernel(*args))
+    ev = RecursionEvaluator(EvaluatorKind.ODD_ODD, a, b)
+    assert ev.seq_w is None and tables == [a, b]
+    values = ev.run_to(limit).values
+    assert len(sums) == 2 * (len(values) - 1)
+    assert values == brute_count_series(a, b, limit, base=2).values
+    empty = ParitySequence([], Parity.ODD, limit)
+    assert RecursionEvaluator(EvaluatorKind.ODD_ODD, a, empty).seq_w is empty
+    subset = RecursionEvaluator(EvaluatorKind.ODD_ODD, empty, b).specialized_subset()
+    assert subset.seq_w is empty and subset.run_to(limit).values == [0] * len(values)
+
+
 def test_one_prefix_table_per_distinct_sequence():
     seq = make_sequence(SequenceKind.ODD_PRIMES, 200)
     copy = ParitySequence(seq.terms.copy(), Parity.ODD, 200)
