@@ -2,9 +2,9 @@
 """Splitting an even number into a prime plus a prime-or-semiprime.
 
 The count separates by parity of the summands: the odd-odd part comes
-from a two-sequence recursion (odd primes against odd primes joined with
-odd semiprimes), and the even-even part is a single membership test,
-because 2 is the only even prime.
+from the count engine over two sequences (odd primes against odd primes
+joined with odd semiprimes), and the even-even part is a single
+membership test, because 2 is the only even prime.
 """
 
 from addrep import build_sieve, chen_odd_odd, chen_total

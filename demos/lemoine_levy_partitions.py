@@ -3,8 +3,8 @@
 
 An even-odd problem: the doubled primes take the even role, the primes
 the odd role, so each decomposition is a role-tagged pair rather than an
-unordered one.  The recursion output is checked here against explicit
-enumeration.
+unordered one.  The count engine's output is checked here against
+explicit enumeration.
 """
 
 from addrep import SequenceKind, brute_count, build_sieve, lemoine_levy, make_sequence

@@ -3,8 +3,8 @@
 
 n is a sum of two triangular numbers exactly when 4n+1 is a sum of two
 squares, pair for pair: (x, y) with n = T(x)+T(y) maps to the square
-pair (x+y+1, x-y) for 4n+1.  Both count series are computed by their own
-recursions and compared term by term.
+pair (x+y+1, x-y) for 4n+1.  The count engine computes both series, each
+from its own pair of sequences, and they are compared term by term.
 """
 
 from addrep import (

@@ -394,6 +394,8 @@ def make_sequence(
     CUSTOM.  Prime-backed kinds accept shared SieveTables via ``tables``;
     otherwise a sieve is built on the fly.
     """
+    if not isinstance(kind, SequenceKind):
+        raise ValueError(f"unknown sequence kind {kind!r}")
     _check_limit(limit)
     if kind is SequenceKind.CUSTOM:
         if terms is None:
@@ -423,12 +425,10 @@ def make_sequence(
     if kind is SequenceKind.DOUBLED_PRIMES:
         halves = primes[: np.searchsorted(primes, limit // 2, side="right")]
         return ParitySequence(2 * halves, Parity.EVEN, limit)
-    if kind is SequenceKind.PRIME_OR_ODD_SEMIPRIME:
-        halves = np.zeros((limit + 1) // 2, dtype=bool)
-        _mark_odd_semiprimes(halves, tables, limit)
-        halves[odd_primes >> 1] = True
-        return ParitySequence(_flagged_odd_numbers(halves), Parity.ODD, limit)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    halves = np.zeros((limit + 1) // 2, dtype=bool)  # PRIME_OR_ODD_SEMIPRIME
+    _mark_odd_semiprimes(halves, tables, limit)
+    halves[odd_primes >> 1] = True
+    return ParitySequence(_flagged_odd_numbers(halves), Parity.ODD, limit)
 
 
 def ensure_tables(tables: SieveTables | None, limit: int) -> SieveTables:

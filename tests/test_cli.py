@@ -1,8 +1,9 @@
 import json
+import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from addrep.cli import (
@@ -660,7 +661,10 @@ def row_arrays(draw):
     return rows
 
 
-@settings(max_examples=60, deadline=None)
+# No shrink phase: shrinking arrays of up to 2 * BLOCK_ROWS + 1 rows took
+# 8-16 s on a writer fault, and a failure names its first differing text.
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(row_arrays())
 @example(np.zeros((BLOCK_ROWS + 3, 2), dtype=np.int64))  # all-zero blocks
 @example(np.arange(4 * BLOCK_ROWS + 2, dtype=np.int64).reshape(-1, 2) % 10)  # one-digit fields
@@ -680,7 +684,11 @@ def test_writers_match_the_f_string_and_json_output(rows):
     ):
         buf = io.StringIO()
         writer(buf, rows.T, context)
-        assert buf.getvalue() == want, writer.__name__
+        got = buf.getvalue()
+        if got != want:  # pytest's diff of two long texts takes about a minute
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"{writer.__name__} differs at character {at}: "
+                        f"{got[max(at - 40, 0) : at + 40]!r} != {want[max(at - 40, 0) : at + 40]!r}")
 
 
 @pytest.mark.parametrize("keys", [range(0), range(1, 2), range(7, 7 + 2 * (2 * BLOCK_ROWS + 1), 2)])

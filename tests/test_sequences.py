@@ -44,6 +44,7 @@ def test_sieve_small_values():
     tables = build_sieve(10)
     assert tables.pi(10) == 4
     assert tables.pi(0) == 0
+    assert tables.pi(-1) == 0
     assert build_sieve(0).pi(0) == 0
 
 
@@ -165,6 +166,7 @@ def test_semiprime_count_examples():
     tables = build_sieve(100)
     assert semiprime_count(10, tables) == 4  # 4, 6, 9, 10
     assert semiprime_count(3, tables) == 0
+    assert semiprime_count(-1, tables) == 0
     assert semiprime_count(100, tables) == 34
 
 
@@ -246,6 +248,8 @@ def test_counting_and_membership():
     assert [seq.counting(x) for x in (0, 1, 4, 5, 9, 10)] == [0, 1, 1, 2, 3, 3]
     assert 5 in seq and 3 not in seq
     assert seq.counting(-3) == 0
+    assert not seq.contains(-1)
+    assert (seq == 5) is False and seq != 5
     with pytest.raises(LimitExceededError):
         seq.counting(11)
     with pytest.raises(LimitExceededError):
@@ -589,6 +593,15 @@ def test_custom_sequence_via_make_sequence():
     assert len(empty) == 0
 
 
+@pytest.mark.parametrize("limit, terms", [(100, None), (10**9, None), (100, [1, 3])])
+def test_make_sequence_refuses_an_unknown_kind_before_sieving(monkeypatch, limit, terms):
+    sieves = []
+    monkeypatch.setattr(sequences, "build_sieve", lambda *args: sieves.append(args))
+    with pytest.raises(ValueError, match="unknown sequence kind 'odd-primes'"):
+        make_sequence("odd-primes", limit, terms=terms)
+    assert sieves == []
+
+
 # --- built-in kinds -------------------------------------------------------
 
 def _kind_predicate(kind, tables):
@@ -859,6 +872,23 @@ def test_plain_bodies_take_the_block_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(sequences, "_loadtxt_terms", None)
     seq = load_sequence(path, limit=10**9)
     assert seq.terms.tolist() == [int("1" * w) for w in range(1, 10)]
+
+
+def test_widths_that_change_every_line_take_loadtxt(tmp_path, monkeypatch):
+    # The block parser takes at most _PLAIN_DIGITS (18) runs of one width in
+    # a block. With 0, 1 or 2 leading zeros in turn, each of the 40 lines is
+    # a run, so numpy parses the body.
+    path = tmp_path / "f.txt"
+    lines = ("0" * (i % 3) + f"{t}\n" for i, t in enumerate(range(1, 80, 2)))
+    path.write_text("parity: odd\n" + "".join(lines))
+    assert sequences._plain_terms(path, 1) is None
+    parsed = []
+    loadtxt_terms = sequences._loadtxt_terms
+    monkeypatch.setattr(sequences, "_loadtxt_terms",
+                        lambda *args: parsed.append(args) or loadtxt_terms(*args))
+    for limit in (None, 100):
+        assert load_sequence(path, limit).terms.tolist() == list(range(1, 80, 2))
+    assert len(parsed) == 2
 
 
 def test_plain_load_holds_no_full_size_temporaries(tmp_path):
