@@ -82,6 +82,18 @@ MUTANTS = (
         _ORACLE_TESTS,
     ),
     Mutant(
+        "lattice: an off-parity x_max accepted", "src/addrep/recursion.py",
+        " or (x_max - base) % 2",
+        "",
+        ("tests/test_oracle.py::test_arguments_out_of_range_raise",),
+    ),
+    Mutant(
+        "lattice: one target short", "src/addrep/recursion.py",
+        "(x_max - base) // 2 + 1",
+        "(x_max - base) // 2",
+        (_FIXED,),
+    ),
+    Mutant(
         "sequences: int64 range check dropped", "src/addrep/sequences.py",
         "if len(magnitude) > 19 or int(magnitude) >= bound:",
         "if len(magnitude) > 19:",

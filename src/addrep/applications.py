@@ -33,7 +33,7 @@ import numpy as np
 from . import convolution
 from .errors import LimitExceededError, ParityMismatchError
 from .oracle import brute_count_series
-from .recursion import CountSeries, EvaluatorKind, Formula, RecursionEvaluator
+from .recursion import CountSeries, EvaluatorKind, Formula, RecursionEvaluator, lattice_size
 from .sequences import (
     DEFAULT_TABLE_CAP,
     Parity,
@@ -199,11 +199,10 @@ class ProblemSpec:
                     seq_a, seq_b, x_max,
                     role_tagged=kind is EvaluatorKind.EVEN_ODD, base=kind.base,
                 ).values
-            # Every route's series starts at the kind's base and steps by 2.
-            offset, off_lattice = divmod(self.x_of_n(self.n_start) - kind.base, 2)
-            stride, off_stride = divmod(self.x_step, 2)
-            assert offset >= 0 and not off_lattice and not off_stride
-            totals = totals + np.asarray(values[offset::stride], dtype=np.int64)
+            # Every route's series runs along the kind's lattice, from its base by 2.
+            assert self.x_step % 2 == 0
+            first = lattice_size(kind.base, self.x_base) - 1
+            totals = totals + np.asarray(values[first::self.x_step // 2], dtype=np.int64)
         return totals
 
 

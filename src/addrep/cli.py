@@ -103,8 +103,7 @@ class Resolved(NamedTuple):
     spec: ProblemSpec
     n_max: int
     route: str  # "recursion" for custom pairs, "engine" otherwise
-    keys: range  # each output row's first column: n, or the target x
-    label: dict[str, range]  # verify's row label: each name and its column
+    label: dict[str, range]  # each row's keys by name: n (built-in problems), then x
     header: list[str]
     meta: dict
 
@@ -130,13 +129,10 @@ def _problem(
         if args.x_max < spec.x_base:
             raise CliUsageError(f"--x-max {args.x_max} is below the base target {spec.x_base}")
         n_max = (args.x_max - spec.x_base) // 2
-        keys = range(spec.x_base, args.x_max + 1, 2)
-        run = Resolved(
-            spec, n_max, "recursion", keys, {"x": keys},
-            [f"# {spec.name} recursion; lines are 'x a(x)' for the target x",
-             f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}"],
-            {"problem": "custom", "kind": spec.parts[0][0].value},
-        )
+        route = "recursion"
+        header = [f"# {spec.name} recursion; lines are 'x a(x)' for the target x",
+                  f"# seq-a: {args.seq_a}  seq-b: {args.seq_b}"]
+        meta = {"problem": "custom", "kind": spec.parts[0][0].value}
     else:
         for flag in ("x_max", "seq_a", "seq_b"):
             if getattr(args, flag) is not None:
@@ -151,24 +147,17 @@ def _problem(
         if n_max < spec.n_start:
             raise CliUsageError(f"--n-max must be >= {spec.n_start} for {args.problem!r}")
         oeis = [f"# cross-reference: OEIS {spec.oeis}"] if spec.oeis else []
-        keys = range(spec.n_start, n_max + 1)
-        targets = range(spec.x_of_n(spec.n_start), spec.x_of_n(n_max) + 1, spec.x_step)
-        run = Resolved(
-            spec, n_max, "engine", keys, {"n": keys, "x": targets},
-            [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"] + oeis,
-            {"problem": spec.name, "oeis": spec.oeis},
-        )
+        route = "engine"
+        header = [f"# {spec.name}: {spec.argument_desc}; lines are 'n a(n)'"] + oeis
+        meta = {"problem": spec.name, "oeis": spec.oeis}
     x_last = spec.x_of_n(n_max)
     if x_cap is not None and x_last > x_cap:
         raise CliUsageError(f"x {x_last} beyond --oracle-cap {x_cap}")
     check_table_budget(x_last, args.limit)
-    return run
-
-
-def _compute_rows(args: argparse.Namespace):
-    run = _problem(args)
-    counts = run.spec.counts(run.n_max, run.route, run.spec.sieve(run.n_max, args.limit))
-    return (run.keys, counts), run.header, run.meta
+    label = {"x": range(spec.x_base, x_last + 1, spec.x_step)}
+    if args.problem != "custom":
+        label = {"n": range(spec.n_start, n_max + 1), **label}
+    return Resolved(spec, n_max, route, label, header, meta)
 
 
 def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
@@ -256,9 +245,11 @@ def read_bfile(path) -> list[tuple[int, int]]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    columns, header, meta = _compute_rows(args)
+    run = _problem(args)
+    counts = run.spec.counts(run.n_max, run.route, run.spec.sieve(run.n_max, args.limit))
+    columns = (next(iter(run.label.values())), counts)
     if args.output_path == "-":
-        _write_rows(sys.stdout, args.output_format, columns, header, meta)
+        _write_rows(sys.stdout, args.output_format, columns, run.header, run.meta)
         return EXIT_OK
     # Write beside the target and rename over it, so that a failed or
     # interrupted run leaves no partial file and any older file intact.
@@ -266,7 +257,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     fh = open(tmp, "x")
     try:
         with fh:
-            _write_rows(fh, args.output_format, columns, header, meta)
+            _write_rows(fh, args.output_format, columns, run.header, run.meta)
         os.replace(tmp, args.output_path)
     except BaseException:
         os.remove(tmp)

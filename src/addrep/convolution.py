@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .recursion import EvaluatorKind
+from .recursion import EvaluatorKind, lattice_size
 from .sequences import shared_terms
 
 
@@ -91,12 +91,10 @@ def count_series(
 
     ``a`` and ``b`` are sorted int64 term arrays with the parities ``kind``
     requires (even first for ``EVEN_ODD``); omit ``b`` when the sequences
-    are equal.  Terms past ``x_max`` are ignored.
+    are equal.  Terms past ``x_max`` are ignored.  An ``x_max`` off the
+    kind's lattice raises ValueError (``recursion.lattice_size``).
     """
-    base = kind.base
-    if x_max < base:
-        raise ValueError(f"x_max {x_max} is below the base argument {base}")
-    size = (x_max - base) // 2 + 1
+    size = lattice_size(kind.base, x_max)
     # Views of the terms whose index t // 2 is below size.
     a = a[: np.searchsorted(a, 2 * size)]
     b = None if b is None else b[: np.searchsorted(b, 2 * size)]
@@ -123,7 +121,7 @@ def count_series(
     counts[at[at < size]] += 1
     odd = np.bitwise_and(counts, 1, out=np.empty(size, dtype=bool), casting="unsafe")
     if odd.any():
-        x = base + 2 * int(odd.argmax())
+        x = kind.base + 2 * int(odd.argmax())
         raise ResourceBudgetError(f"twice the count at {x} came out odd; counts are not exact")
     counts //= 2
     return counts

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitExceededError
-from .recursion import CountSeries, EvaluatorKind
+from .recursion import CountSeries, EvaluatorKind, lattice_size
 from .sequences import ParitySequence
 
 
@@ -100,8 +100,7 @@ def brute_count_series(
     """
     if base is None:
         base = _default_base(seq_a, seq_b, role_tagged)
-    if x_max < base or (x_max - base) % 2:
-        raise ValueError(f"x_max {x_max} not on the argument lattice of {base}")
+    size = lattice_size(base, x_max)
     if x_max > seq_a.limit or x_max > seq_b.limit:
         raise LimitExceededError(
             f"x_max {x_max} beyond limits {seq_a.limit}/{seq_b.limit}"
@@ -109,7 +108,7 @@ def brute_count_series(
     in_a = _members(seq_a, x_max)
     in_b = _members(seq_b, x_max)
     either = in_a | in_b
-    counts = np.zeros((x_max - base) // 2 + 1, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     for p in np.flatnonzero(in_a if role_tagged else either).tolist():
         # q must be in seq_b when role-tagged; otherwise on the other side
         # from p: seq_b for p in seq_a, seq_a for p in seq_b, either for both.

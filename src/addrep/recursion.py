@@ -9,6 +9,10 @@ exist, keyed by the parities involved:
 * ``EVEN_ODD``  odd targets, one even and one odd term, roles fixed by
   parity (base 1).
 
+Every count route (these evaluators, ``convolution.count_series`` and
+``oracle.brute_count_series``) counts the targets base, base + 2, ...,
+x_max, and ``lattice_size`` checks and sizes that lattice for all three.
+
 Each step is the paper's theorem: the count at x through sums of S_A
 over B's terms and of S_B over A's terms up to half the target, a cross
 product of the counting functions there and, when the roles can share
@@ -75,6 +79,14 @@ class EvaluatorKind(enum.Enum):
         return next((kind for kind in cls if kind.parities == (parity_a, parity_b)), None)
 
 
+def lattice_size(base: int, x_max: int) -> int:
+    """The number of targets base, base + 2, ..., x_max; ValueError when
+    x_max is below base or has the other parity."""
+    if x_max < base or (x_max - base) % 2:
+        raise ValueError(f"x_max {x_max} not on the argument lattice of {base}")
+    return (x_max - base) // 2 + 1
+
+
 class Formula(enum.Enum):
     GENERAL = "general"
     EQUAL = "equal"
@@ -87,9 +99,6 @@ class CountSeries:
     base: int
     values: list[int] = field(default_factory=list)
     step: int = 2
-
-    def argument(self, i: int) -> int:
-        return self.base + self.step * i
 
     def arguments(self) -> range:
         return range(self.base, self.base + self.step * len(self.values), self.step)
@@ -195,7 +204,7 @@ class RecursionEvaluator:
 
     @property
     def last_argument(self) -> int:
-        return self.computed.argument(len(self.computed) - 1)
+        return self.computed.arguments()[-1]
 
     def next(self) -> tuple[int, int]:
         """Compute, record and return (argument, count) for the next target."""
@@ -209,11 +218,7 @@ class RecursionEvaluator:
         A target past the sequences' limit raises LimitExceededError with
         every value up to the limit recorded.
         """
-        base = self.computed.base
-        if x_max < base:
-            raise ValueError(f"x_max {x_max} is below the base argument {base}")
-        if (x_max - base) % 2:
-            raise ValueError(f"x_max {x_max} is off the argument lattice of {base}")
+        lattice_size(self.computed.base, x_max)
         values, step, limit = self.computed.values, self._step, self.seq_a.limit
         tail = self.tail_sum
         try:

@@ -144,7 +144,9 @@ class ParitySequence:
         )
 
     def __hash__(self):
-        return hash((self.parity, self.limit, self.terms.tobytes()))
+        # Equal sequences agree on these, and no term array is copied.
+        ends = (self.terms.item(0), self.terms.item(-1)) if len(self.terms) else ()
+        return hash((self.parity, self.limit, len(self.terms), *ends))
 
     def __repr__(self) -> str:
         head = ", ".join(map(str, self.terms[:6].tolist()))
@@ -510,8 +512,8 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     in ``\n``, is parsed in blocks straight from the file's bytes (see
     _plain_terms).  Any other body (comments, blank lines, spaces or tabs,
     CR, signs, 19 or more digits, no final newline) is read by
-    ``np.loadtxt`` as before; both give the same terms, and the same error
-    for a bad line.
+    ``np.loadtxt``; both give the same terms, and the same error for a bad
+    line.
     """
     path = Path(path)
     with path.open() as fh:

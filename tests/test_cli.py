@@ -661,6 +661,15 @@ def row_arrays(draw):
     return rows
 
 
+def _assert_same_text(got, want, what):
+    """Fail with the first difference and 40 characters on each side of it:
+    pytest's diff of two long writer texts takes about a minute."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"{what} differs at character {at}: "
+                    f"{got[max(at - 40, 0) : at + 40]!r} != {want[max(at - 40, 0) : at + 40]!r}")
+
+
 # No shrink phase: shrinking arrays of up to 2 * BLOCK_ROWS + 1 rows took
 # 8-16 s on a writer fault, and a failure names its first differing text.
 @settings(max_examples=60, deadline=None,
@@ -684,11 +693,7 @@ def test_writers_match_the_f_string_and_json_output(rows):
     ):
         buf = io.StringIO()
         writer(buf, rows.T, context)
-        got = buf.getvalue()
-        if got != want:  # pytest's diff of two long texts takes about a minute
-            at = len(os.path.commonprefix([got, want]))
-            pytest.fail(f"{writer.__name__} differs at character {at}: "
-                        f"{got[max(at - 40, 0) : at + 40]!r} != {want[max(at - 40, 0) : at + 40]!r}")
+        _assert_same_text(buf.getvalue(), want, writer.__name__)
 
 
 @pytest.mark.parametrize("keys", [range(0), range(1, 2), range(7, 7 + 2 * (2 * BLOCK_ROWS + 1), 2)])
@@ -703,7 +708,7 @@ def test_writers_build_a_range_key_column_block_by_block(keys):
         by_range, by_array = io.StringIO(), io.StringIO()
         writer(by_range, (keys, counts), context)
         writer(by_array, (np.array(keys, dtype=np.int64), counts), context)
-        assert by_range.getvalue() == by_array.getvalue(), writer.__name__
+        _assert_same_text(by_range.getvalue(), by_array.getvalue(), writer.__name__)
 
 
 @pytest.mark.parametrize("literals, peak_kb", [

@@ -197,7 +197,7 @@ def test_route_threshold_is_shifted_adds_per_side(monkeypatch, shape):
             b, shared = odd[::2], adds // 3
             a = np.sort(np.concatenate((odd[::2][:shared], odd[1::2][: adds - 2 * shared])))
         taken.clear()
-        count_series(kind, limit - 1, a, b)
+        count_series(kind, limit - 2 + kind.base % 2, a, b)
         want = "_by_shifts" if adds == convolution._SHIFTS_PER_SIDE * sides else "_by_fft"
         assert taken and set(taken) == {want}, adds
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrep.applications import PROBLEMS
+from addrep.convolution import count_series
 from addrep.errors import LimitExceededError, SequenceFormatError
 from addrep.oracle import (
     brute_count,
@@ -238,6 +239,12 @@ _ODD_1 = ParitySequence([1], Parity.ODD, 1)
                  id="brute_count-negative-x"),
     pytest.param(lambda: brute_count_series(_ODDS, _ODDS, 5), ValueError,
                  "not on the argument lattice of 2", id="brute_series-off-lattice"),
+    pytest.param(lambda: count_series(EvaluatorKind.ODD_ODD, 5, _ODDS.terms), ValueError,
+                 "not on the argument lattice of 2", id="engine-off-lattice"),
+    pytest.param(lambda: count_series(EvaluatorKind.ODD_ODD, 0, _ODDS.terms), ValueError,
+                 "not on the argument lattice of 2", id="engine-below-base"),
+    pytest.param(lambda: RecursionEvaluator(EvaluatorKind.ODD_ODD, _ODDS, _ODDS).run_to(5),
+                 ValueError, "not on the argument lattice of 2", id="recursion-off-lattice"),
     pytest.param(lambda: brute_count_series(_ODDS, _ODDS, 12), LimitExceededError,
                  "beyond limits 10/10", id="brute_series-past-limits"),
     pytest.param(lambda: triangular_to_square(-1, 0), ValueError, "nonnegative",
