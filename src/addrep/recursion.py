@@ -215,7 +215,8 @@ class RecursionEvaluator:
     def run_to(self, x_max: int) -> CountSeries:
         """Fill the series through x_max; a no-op for already computed parts.
 
-        A target past the sequences' limit raises LimitExceededError with
+        An x_max off the lattice raises ValueError (``lattice_size``); a
+        target past the sequences' limit raises LimitExceededError with
         every value up to the limit recorded.
         """
         lattice_size(self.computed.base, x_max)
