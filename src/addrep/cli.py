@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--problem", required=True, choices=names)
         sp.add_argument("--n-max", type=int, help="last index n (built-in problems)")
-        sp.add_argument("--x-max", type=int, help="last target x (custom runs)")
+        sp.add_argument("--x-max", type=int,
+                        help="bound on the targets x (custom runs): the last row is "
+                        "the largest target on the pair's lattice up to it")
         sp.add_argument("--seq-a", help="sequence file for the first role")
         sp.add_argument("--seq-b", help="sequence file for the second role")
         sp.add_argument(

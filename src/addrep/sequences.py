@@ -144,9 +144,7 @@ class ParitySequence:
         )
 
     def __hash__(self):
-        # Equal sequences agree on these, and no term array is copied.
-        ends = (self.terms.item(0), self.terms.item(-1)) if len(self.terms) else ()
-        return hash((self.parity, self.limit, len(self.terms), *ends))
+        return hash((self.parity, self.limit, self.terms.tobytes()))
 
     def __repr__(self) -> str:
         head = ", ".join(map(str, self.terms[:6].tolist()))

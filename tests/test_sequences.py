@@ -289,17 +289,6 @@ def test_term_inputs_give_equal_sequences(terms):
     assert seq.terms.tolist() == [1, 5, 9]
 
 
-def test_hashing_copies_no_terms():
-    seq = ParitySequence(np.arange(1, 2 * 10**6, 2), Parity.ODD, 2 * 10**6)
-    tracemalloc.start()
-    try:
-        hash(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 def test_terms_are_one_read_only_array():
     source = np.array([0, 4, 8])
     seq = ParitySequence(source, Parity.EVEN, 8)
