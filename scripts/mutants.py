@@ -347,6 +347,13 @@ MUTANTS = (
         "    pass  # before",
         ("tests/test_cli.py::test_row_writer_peak_memory_is_one_block",),
     ),
+    Mutant(
+        "cli: out of memory names no layer", "src/addrep/cli.py",
+        'f"out of memory in {Path(frame.filename).stem}.{frame.name}"',
+        '"out of memory"',
+        ("tests/test_cli.py::test_bare_memory_error_exits_with_resource_code",
+         "tests/test_cli.py::test_bare_memory_error_in_the_engine_names_its_module"),
+    ),
 )
 
 

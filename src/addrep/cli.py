@@ -1,8 +1,8 @@
 """Command line front end: compute, verify and benchmark count series.
 
-Every command resolves ``--problem``, a built-in problem or a custom pair
-of sequence files, to a ``ProblemSpec`` and a route, and runs it through
-``ProblemSpec.counts``.
+Every command resolves ``--problem`` to a ``ProblemSpec`` and a route and
+runs it through ``ProblemSpec.counts``: a built-in problem, or for compute
+and verify a custom pair of sequence files.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 resource limit.  ``main`` returns the code; the process entry point,
 ``console_main``, flushes the output and ends the process at once.
@@ -54,21 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
         "over increasing sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = sorted(PROBLEMS) + ["custom"]
 
     def cap(text: str) -> int:  # a cap below 0 is a usage error, not a resource limit
         if int(text) < 0:
             raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
         return int(text)
 
-    def add_common(sp):
-        sp.add_argument("--problem", required=True, choices=names)
+    def add_common(sp, custom: bool):  # a flag belongs to the commands that read it
+        sp.add_argument("--problem", required=True, choices=sorted(PROBLEMS) + ["custom"] * custom)
         sp.add_argument("--n-max", type=int, help="last index n (built-in problems)")
-        sp.add_argument("--x-max", type=int,
-                        help="bound on the targets x (custom runs): the last row is "
-                        "the largest target on the pair's lattice up to it")
-        sp.add_argument("--seq-a", help="sequence file for the first role")
-        sp.add_argument("--seq-b", help="sequence file for the second role")
+        if custom:
+            sp.add_argument("--x-max", type=int,
+                            help="bound on the targets x (custom runs): the last row is "
+                            "the largest target on the pair's lattice up to it")
+            sp.add_argument("--seq-a", help="sequence file for the first role")
+            sp.add_argument("--seq-b", help="sequence file for the second role")
         sp.add_argument(
             "--limit",
             type=cap,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     compute = sub.add_parser("compute", help="compute a count series and write it out")
-    add_common(compute)
+    add_common(compute, custom=True)
     compute.add_argument(
         "--format",
         dest="output_format",
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a series term by term against brute force")
     bench = sub.add_parser("bench", help="time every route of a problem at geometric steps")
     for sp in (verify, bench):
-        add_common(sp)
+        add_common(sp, custom=sp is verify)
         sp.add_argument(
             "--oracle-cap",
             type=cap,
@@ -137,7 +137,7 @@ def _problem(
         meta = {"problem": "custom", "kind": spec.parts[0][0].value}
     else:
         for flag in ("x_max", "seq_a", "seq_b"):
-            if getattr(args, flag) is not None:
+            if getattr(args, flag, None) is not None:  # bench has no custom flags
                 raise CliUsageError(
                     f"--{flag.replace('_', '-')} applies to custom runs only, "
                     f"not to {args.problem!r}"
@@ -311,8 +311,6 @@ def _bench_steps(n_start: int, n_max: int) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.problem == "custom":
-        raise CliUsageError("bench supports built-in problems only")
     run = _problem(args, default_n=1000)
     spec = run.spec
     routes = ("engine", "recursion", "oracle")
@@ -372,13 +370,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MemoryError, LimitExceededError, LimitMismatchError) as exc:
         # MemoryError covers ResourceBudgetError and numpy's failed allocations.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or _out_of_memory(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CliUsageError, ValueError, OSError) as exc:
         # ValueError covers SequenceFormatError, ParityMismatchError and
         # ContainmentError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _out_of_memory(exc: MemoryError) -> str:
+    """The message of a bare ``MemoryError``: 'out of memory in module.function'
+    for the innermost frame of its traceback in this package."""
+    import traceback  # here, so that process start imports nothing more
+
+    here = Path(__file__).parent
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if Path(f.filename).parent == here][-1]  # main's own frame at least
+    return f"out of memory in {Path(frame.filename).stem}.{frame.name}"
 
 
 def console_main() -> NoReturn:

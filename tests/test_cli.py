@@ -137,6 +137,20 @@ def test_oracle_cap_belongs_to_the_oracle_commands(capsys):
         assert args.oracle_cap == 3
 
 
+@pytest.mark.parametrize("flag, value, parsed", [
+    ("--x-max", "3", 3), ("--seq-a", "a.txt", "a.txt"), ("--seq-b", "b.txt", "b.txt"),
+])
+def test_custom_flags_belong_to_compute_and_verify(capsys, flag, value, parsed):
+    # bench times built-in problems only, so the flag is argparse's unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "goldbach", "--n-max", "5", flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    for command in ("compute", "verify"):
+        args = build_parser().parse_args([command, "--problem", "custom", flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == parsed
+
+
 _BUILT_IN_ARGV = ["--problem", "goldbach", "--n-max", "5"]
 _FOREIGN_FLAGS = [
     (_BUILT_IN_ARGV + ["--x-max", "3"], "--x-max"),
@@ -147,10 +161,8 @@ _FOREIGN_FLAGS = [
 ]
 
 
-# bench refuses custom pairs before it reads any other flag.
 @pytest.mark.parametrize("command, argv, flag", [
-    (command, argv, flag) for command in ("compute", "verify", "bench")
-    for argv, flag in _FOREIGN_FLAGS if command != "bench" or "custom" not in argv
+    (command, argv, flag) for command in ("compute", "verify") for argv, flag in _FOREIGN_FLAGS
 ])
 def test_flags_of_the_other_problem_kind_are_rejected(tmp_path, capsys, command, argv,
                                                        flag):
@@ -504,7 +516,10 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_bench_rejects_custom(capsys):
-    assert main(["bench", "--problem", "custom"]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "custom"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
 
 
 # --- robustness -------------------------------------------------------------------
@@ -583,7 +598,25 @@ def test_bare_memory_error_exits_with_resource_code(monkeypatch, capsys):
 
     monkeypatch.setattr(applications, "build_sieve", out_of_memory)
     assert main(["compute", "--problem", "goldbach", "--n-max", "30"]) == EXIT_RESOURCE
-    assert "error: out of memory" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: out of memory in applications.sieve\n"
+
+
+def test_bare_memory_error_in_the_engine_names_its_module(monkeypatch, capsys, tmp_path):
+    import numpy as np
+
+    from addrep import convolution
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    # Forced transforms, as in test_rounding_guard_exits_with_resource_code.
+    monkeypatch.setattr(convolution, "_SHIFTS_PER_SIDE", -1)
+    monkeypatch.setattr(np.fft, "rfft", out_of_memory)
+    out = tmp_path / "goldbach.txt"
+    code = main(["compute", "--problem", "goldbach", "--n-max", "30", "--out", str(out)])
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: out of memory in convolution.")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_custom_odd_odd_run_does_not_import_numpy_ma(tmp_path):
