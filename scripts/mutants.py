@@ -53,6 +53,7 @@ _SEQUENCES = "src/addrep/sequences.py"
 # a second, before the property tests' drawn examples.
 _FIXED = "tests/test_convolution.py::test_fixed_pairs_against_brute_force"
 _THRESHOLD = "tests/test_convolution.py::test_route_threshold_is_shifted_adds_per_side"
+_PLAIN_HEADS = "tests/test_sequences.py::test_plain_bodies_take_the_block_parser"
 _BLOCK_TESTS = (
     "tests/test_sequences.py::test_validation_matches_a_per_term_mask_scan",
     "tests/test_sequences.py::test_validation_in_blocks_names_the_first_bad_term",
@@ -274,6 +275,18 @@ MUTANTS = (
         ("tests/test_recursion.py::test_equal_pair_subset_form_matches_equal_form",),
     ),
     Mutant(
+        "reader: header line endings translated", _SEQUENCES,
+        'path.open(newline="")',
+        "path.open()",
+        (_PLAIN_HEADS,),
+    ),
+    Mutant(
+        "reader: every header line ending counted as one byte", _SEQUENCES,
+        "start += len(raw.encode(fh.encoding))",
+        'start += len(raw.rstrip("\\r\\n").encode(fh.encoding)) + 1',
+        (_PLAIN_HEADS,),
+    ),
+    Mutant(
         "sequences: semiprime q range starts one prime late", "src/addrep/sequences.py",
         "np.arange(lo, hi)",
         "np.arange(lo + 1, hi + 1)",
@@ -339,6 +352,12 @@ MUTANTS = (
         "cli: leading zeros written as '0'", "src/addrep/cli.py",
         "mat[values == 0, j] = 0",
         'mat[values == 0, j] = ord("0")',
+        ("tests/test_cli.py::test_writers_match_the_f_string_and_json_output",),
+    ),
+    Mutant(
+        "writer: uint32 digits past 2^32 - 1", "src/addrep/cli.py",
+        "if peak < 2**32:",
+        "if peak <= 2**32:",
         ("tests/test_cli.py::test_writers_match_the_f_string_and_json_output",),
     ),
     Mutant(

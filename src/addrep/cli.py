@@ -181,13 +181,17 @@ def _format_rows(columns: Sequence, literals: Sequence[str]) -> Iterator[str]:
 
 def _format_block(block: list[np.ndarray], literal_bytes: list[np.ndarray]) -> str:
     """One block of ``_format_rows``: a uint8 line per row, a field per column as
-    wide as the block's largest value, digits by ``// 10`` and NUL for leading zeros."""
-    widths = [len(str(int(values.max()))) for values in block]
+    wide as the block's largest value, digits by ``// 10`` and NUL for leading zeros.
+    A column whose largest value fits in uint32 is cut in uint32, a faster divide."""
+    peaks = [int(values.max()) for values in block]
+    widths = [len(str(peak)) for peak in peaks]
     mat = np.empty((len(block[0]), sum(map(len, literal_bytes)) + sum(widths)), np.uint8)
     end = 0  # one past the field being filled
-    for literal, values, width in zip(literal_bytes, block, widths):
+    for literal, values, peak, width in zip(literal_bytes, block, peaks, widths):
         mat[:, end : end + len(literal)] = literal
         end += len(literal) + width
+        if peak < 2**32:
+            values = values.astype(np.uint32)
         for j in range(end - 1, end - width - 1, -1):
             quotient = values // 10
             mat[:, j] = values - 10 * quotient + ord("0")

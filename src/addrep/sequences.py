@@ -10,8 +10,8 @@ semiprimes, all primes, doubled primes, odd and even squares, pronic
 numbers, the full parity classes); arbitrary sequences can be passed as
 explicit term lists or arrays, or loaded from a small text format.  A file
 whose body is plain, one term of 1 to 18 ASCII digits per ``\n``-ended
-line, is parsed as fixed-width digit blocks of its bytes; every other
-accepted form goes through numpy's text parser, with the same errors.
+line, is parsed as fixed-width digit blocks from the byte its header ends
+at; every other form goes through numpy's parser, with the same errors.
 
 SieveTables holds the sorted primes up to its limit and answers the
 prime counting function pi(x) by binary search; semiprime counting
@@ -508,14 +508,18 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
 
     A plain body, every line after the header 1 to 18 ASCII digits ending
     in ``\n``, is parsed in blocks straight from the file's bytes (see
-    _plain_terms).  Any other body (comments, blank lines, spaces or tabs,
-    CR, signs, 19 or more digits, no final newline) is read by
-    ``np.loadtxt``; both give the same terms, and the same error for a bad
-    line.
+    _plain_terms), whatever ends the header's lines.  Any other body
+    (comments, blank lines, spaces or tabs, CR, signs, 19 or more digits,
+    no final newline) is read by ``np.loadtxt``; both give the same terms,
+    and the same error for a bad line.
     """
     path = Path(path)
-    with path.open() as fh:
+    # Lines end at \n, \r\n or a lone \r, as in np.loadtxt, and keep their ends,
+    # so their bytes sum to the body's offset (text-mode tell() gives none).
+    start = 0
+    with path.open(newline="") as fh:
         for lineno, raw in enumerate(fh, 1):
+            start += len(raw.encode(fh.encoding))
             line = raw.partition("#")[0].strip()
             if line:
                 break
@@ -529,7 +533,7 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
         value = value.strip().lower()
         if value not in ("odd", "even"):
             raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
-    terms = _plain_terms(path, lineno)
+    terms = _plain_terms(path, start)
     if terms is None:
         terms = _loadtxt_terms(path, lineno)
     parity = Parity(value)
@@ -552,31 +556,26 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     return ParitySequence(terms, parity, limit)
 
 
-def _plain_terms(path: Path, header_lineno: int) -> np.ndarray | None:
+def _plain_terms(path: Path, start: int) -> np.ndarray | None:
     """The terms of a plain body, or None when the body is in any other form.
 
-    The body is what follows the header line, and the lines up to it must
-    hold no CR.  It is plain when every line is 1 to _PLAIN_DIGITS ASCII
-    digits ending in ``\n``.  The body is read twice into one reused buffer
-    of its own size, kept between one whole line and _PARSE_BLOCK bytes:
-    once to count its newlines, which sizes the result, and once to parse
-    it.  Consecutive lines of one width w make a run, an (m, w + 1) uint8
-    view of the buffer; sorted terms without leading zeros make at most
-    _PLAIN_DIGITS runs in a block, and a block with more sends the body to
-    the general parser.  A run's bytes less ord("0") go into one reused
-    scratch buffer, with each row's last value set to 0 once its byte is
-    checked to be a newline.  The rows count up to the first one without its
-    newline or with a value of 10 or more, and their digit columns are
+    The body starts at byte ``start``.  It is plain when every line is 1 to
+    _PLAIN_DIGITS ASCII digits ending in ``\n``.  The body is read twice
+    into one reused buffer of its own size, kept between one whole line and
+    _PARSE_BLOCK bytes: once to count its newlines, which sizes the result,
+    and once to parse it.  Consecutive lines of one width w make a run, an
+    (m, w + 1) uint8 view of the buffer; sorted terms without leading zeros
+    make at most _PLAIN_DIGITS runs in a block, and a block with more sends
+    the body to the general parser.  A run's bytes less ord("0") go into one
+    reused scratch buffer, with each row's last value set to 0 once its byte
+    is checked to be a newline.  The rows count up to the first one without
+    its newline or with a value of 10 or more, and their digit columns are
     summed by Horner's rule straight into the result.  A bad row ends the
     run and starts the next one.  The part of a line left at a block's end
     moves to the buffer's front, and the next block is read after it.
     """
     with path.open("rb") as fh:
-        for _ in range(header_lineno):
-            line = fh.readline()
-            if not line.endswith(b"\n") or b"\r" in line:
-                return None  # text mode split the header's lines at CR as well
-        start = fh.tell()
+        fh.seek(start)
         block = min(max(path.stat().st_size - start, _PLAIN_DIGITS + 2), _PARSE_BLOCK)
         buf = bytearray(block)
         data = np.frombuffer(buf, dtype=np.uint8)
@@ -628,7 +627,7 @@ def _first(flags: np.ndarray) -> int:
 def _loadtxt_terms(path: Path, header_lineno: int) -> np.ndarray:
     """The terms of any body by numpy's text parser; raises for a bad line."""
     # Given the path rather than the open handle, numpy parses the file in C;
-    # it skips the same text-mode lines the header scan read.
+    # it skips the same lines the header scan read.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file with no terms
         try:

@@ -711,6 +711,7 @@ def _assert_same_text(got, want, what):
 @example(np.zeros((BLOCK_ROWS + 3, 2), dtype=np.int64))  # all-zero blocks
 @example(np.arange(4 * BLOCK_ROWS + 2, dtype=np.int64).reshape(-1, 2) % 10)  # one-digit fields
 @example(np.array([[0, 7], [100, 0], [5, 12345]], dtype=np.int64))  # leading zeros in each field
+@example(np.array([[2**32 - 1, 7], [3, 2**32]], dtype=np.int64))  # uint32's largest, and one past
 def test_writers_match_the_f_string_and_json_output(rows):
     import io
 

@@ -832,7 +832,8 @@ def test_block_parser_matches_loadtxt_across_block_edges(tmp_path, monkeypatch, 
     path.write_bytes(f"# head\nparity: odd\n{body}".encode())
     monkeypatch.setattr(sequences, "_PARSE_BLOCK", block)
     if body == _MIXED_WIDTHS:
-        assert sequences._plain_terms(path, 2).tolist() == list(map(int, body.split()))
+        start = len(b"# head\nparity: odd\n")
+        assert sequences._plain_terms(path, start).tolist() == list(map(int, body.split()))
     assert _load_outcome(path) == _loadtxt_outcome(path)
 
 
@@ -847,7 +848,8 @@ def _sequence_files(draw):
         lines = draw(st.lists(line, max_size=30))
     head = draw(st.sampled_from(["", "# made by hand\n", "# made by hand\r"]))
     if draw(st.booleans()):  # a plain body
-        return f"{head}parity: {parity}\n" + "".join(line + "\n" for line in lines)
+        eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return f"{head}parity: {parity}{eol}" + "".join(line + "\n" for line in lines)
     for _ in range(draw(st.integers(0, 2))):
         other = draw(st.sampled_from(["", "# note", "5 # five", "+7", "-3", "\t9", " 11 "]))
         lines.insert(draw(st.integers(0, len(lines))), other)
@@ -866,9 +868,17 @@ def test_block_parser_matches_loadtxt(tmp_path, text, limit):
     assert _load_outcome(path, limit) == _loadtxt_outcome(path, limit)
 
 
-def test_plain_bodies_take_the_block_parser(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "head",
+    ["# made by hand\nparity: odd\n", "# made by hand\r\nparity: odd\r\n",
+     "# made by hand\rparity: odd\r",
+     # The header ends past the text reader's first 8192-byte chunk.
+     "#" + "x" * 8189 + "\rparity: odd\r"],
+    ids=["lf", "crlf", "cr", "cr-past-8192"],
+)
+def test_plain_bodies_take_the_block_parser(tmp_path, monkeypatch, head):
     path = tmp_path / "f.txt"
-    path.write_text("# made by hand\nparity: odd\n" + _EVERY_WIDTH.replace(f"{2**63 - 1}\n", ""))
+    path.write_bytes((head + _EVERY_WIDTH.replace(f"{2**63 - 1}\n", "")).encode())
     monkeypatch.setattr(sequences, "_loadtxt_terms", None)
     seq = load_sequence(path, limit=10**9)
     assert seq.terms.tolist() == [int("1" * w) for w in range(1, 10)]
@@ -881,7 +891,7 @@ def test_widths_that_change_every_line_take_loadtxt(tmp_path, monkeypatch):
     path = tmp_path / "f.txt"
     lines = ("0" * (i % 3) + f"{t}\n" for i, t in enumerate(range(1, 80, 2)))
     path.write_text("parity: odd\n" + "".join(lines))
-    assert sequences._plain_terms(path, 1) is None
+    assert sequences._plain_terms(path, len(b"parity: odd\n")) is None
     parsed = []
     loadtxt_terms = sequences._loadtxt_terms
     monkeypatch.setattr(sequences, "_loadtxt_terms",
