@@ -1,11 +1,14 @@
-"""Wall time and peak RSS of `addrep compute` for two source trees.
+"""Wall time, peak RSS and diagonal time of `addrep compute` for two source trees.
 
-Runs `python -m addrep.cli compute --problem P --n-max N --format F` in a
-fresh process per run, for each source tree (a checkout holding `src/addrep`),
-problem and size, alternating which tree runs first.  The peak RSS is the
-child's own maxrss from `os.wait4`; the wall time spans process start to
-exit.  Each run's output is compared byte for byte with the first tree's
-output of the same pair.  Writes one JSON record to --out.
+Runs `addrep compute --problem P --n-max N --format F` in a fresh process
+per run, for each source tree (a checkout holding `src/addrep`), problem and
+size, alternating which tree runs first.  The child runs the CLI's entry
+point as `python -m addrep.cli` does, with every call of the engine's
+`convolution._diagonal` timed; their sum is the run's `diagonal_s` (0 on the
+shifts route).  The peak RSS is the child's own maxrss from `os.wait4`; the
+wall time spans process start to exit.  Each run's output is compared byte
+for byte with the first tree's output of the same pair.  Writes one JSON
+record to --out.
 
     python scripts/bench_engine.py --tree parent=../parent --tree change=. \\
         --out BENCH_engine_10m.json
@@ -25,18 +28,38 @@ import tempfile
 import time
 from pathlib import Path
 
+# addrep.cli.console_main with every _diagonal call timed; prints the seconds
+# spent in them, since the rows go to --out.
+_CHILD = """
+import os, sys, time
+from addrep import cli, convolution
+diagonal, spent = convolution._diagonal, [0.0]
+def timed(*args):
+    t0 = time.perf_counter()
+    total = diagonal(*args)
+    spent[0] += time.perf_counter() - t0
+    return total
+convolution._diagonal = timed
+code = cli.main(sys.argv[1:])
+print(spent[0], flush=True)
+sys.stderr.flush()
+os._exit(code)
+"""
+
 
 def run_once(src: Path, problem: str, n: int, fmt: str, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "addrep.cli", "compute", "--problem", problem,
+    argv = [sys.executable, "-c", _CHILD, "compute", "--problem", problem,
             "--n-max", str(n), "--format", fmt, "--out", str(out)]
     t0 = time.perf_counter()
-    child = subprocess.Popen(argv, env=env)
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE)
+    printed = child.stdout.read()
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - t0
     if status:
         raise SystemExit(f"{' '.join(argv)} failed with status {status}")
-    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "diagonal_s": round(float(printed), 4)}
 
 
 def main() -> None:
@@ -80,14 +103,16 @@ def main() -> None:
                     "wall_s_median": round(statistics.median(r["wall_s"] for r in mine), 3),
                     "wall_s_range": [min(r["wall_s"] for r in mine), max(r["wall_s"] for r in mine)],
                     "peak_rss_mb_median": round(statistics.median(r["peak_rss_mb"] for r in mine), 1),
+                    "diagonal_s_median": round(statistics.median(r["diagonal_s"] for r in mine), 4),
                     "identical": all(r["identical"] for r in mine),
                 })
     import numpy  # only now: a child's maxrss starts from this process's size at fork
 
     record = {
-        "what": "fresh-process `python -m addrep.cli compute --problem P --n-max N "
+        "what": "fresh-process `addrep compute --problem P --n-max N "
                 f"--format {args.format} --out FILE`; "
-                "peak RSS is the child's maxrss from os.wait4; runs alternate which tree goes first",
+                "peak RSS is the child's maxrss from os.wait4; diagonal_s sums the child's "
+                "convolution._diagonal calls; runs alternate which tree goes first",
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                 f"numpy {numpy.__version__}",
         "trees": [name for name, _ in trees],

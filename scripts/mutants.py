@@ -168,10 +168,16 @@ MUTANTS = (
         (_FIXED, "tests/test_convolution.py::test_transform_blocks_against_brute_force"),
     ),
     Mutant(
+        "diagonal: chunk boundary one entry off", "src/addrep/convolution.py",
+        "hi = lo + _CHUNK",
+        "hi = lo + _CHUNK - 1",
+        (_FIXED,),
+    ),
+    Mutant(
         "convolution: equal pair's off-diagonal products not doubled",
         "src/addrep/convolution.py",
-        "        total *= 2\n",
-        "        pass\n",
+        "            part *= 2\n",
+        "            pass\n",
         (_FIXED, "tests/test_convolution.py::test_transform_blocks_against_brute_force"),
     ),
     Mutant(
@@ -276,15 +282,39 @@ MUTANTS = (
     ),
     Mutant(
         "reader: header line endings translated", _SEQUENCES,
-        'path.open(newline="")',
-        "path.open()",
+        'path.open(newline="", **TEXT_CODEC)',
+        'path.open(**TEXT_CODEC)',
         (_PLAIN_HEADS,),
     ),
     Mutant(
         "reader: every header line ending counted as one byte", _SEQUENCES,
-        "start += len(raw.encode(fh.encoding))",
-        'start += len(raw.rstrip("\\r\\n").encode(fh.encoding)) + 1',
+        'start += len(raw.encode(**TEXT_CODEC))',
+        'start += len(raw.rstrip("\\r\\n").encode(**TEXT_CODEC)) + 1',
         (_PLAIN_HEADS,),
+    ),
+    Mutant(
+        "reader: header decoded by the locale", _SEQUENCES,
+        'path.open(newline="", **TEXT_CODEC)',
+        'path.open(newline="", errors="surrogateescape")',
+        ("tests/test_sequences.py::test_the_text_rule_holds_under_the_c_locale",),
+    ),
+    Mutant(
+        "reader: BOM kept", _SEQUENCES,
+        'return raw.removeprefix("\\ufeff") if lineno == 1 else raw',
+        "return raw",
+        ("tests/test_sequences.py::test_a_leading_bom_is_skipped",),
+    ),
+    Mutant(
+        "reader: stray byte in a comment passes", _SEQUENCES,
+        're.search("[\\udc80-\\udcff]", raw)',
+        're.search("[\\udc80-\\udcff]", raw.partition("#")[0])',
+        ("tests/test_sequences.py::test_a_byte_that_is_not_utf8_is_named_with_its_line",),
+    ),
+    Mutant(
+        "writer: --out in the locale codec", "src/addrep/cli.py",
+        'open(tmp, "x", **TEXT_CODEC)',
+        'open(tmp, "x")',
+        ("tests/test_cli.py::test_the_cli_keeps_the_text_rule_under_the_c_locale",),
     ),
     Mutant(
         "sequences: semiprime q range starts one prime late", "src/addrep/sequences.py",

@@ -27,7 +27,7 @@ from .errors import (
     LimitMismatchError,
     SequenceFormatError,
 )
-from .sequences import DEFAULT_TABLE_CAP, check_table_budget, load_sequence
+from .sequences import DEFAULT_TABLE_CAP, TEXT_CODEC, check_table_budget, load_sequence, text_line
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -234,10 +234,10 @@ def write_json(fh, columns, meta) -> None:
 
 
 def read_bfile(path) -> list[tuple[int, int]]:
-    """Parse 'n a(n)' lines, skipping blanks and '#' comments."""
+    """Parse 'n a(n)' lines by the text rule, skipping blanks and '#' comments."""
     rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
+    for lineno, raw in enumerate(Path(path).read_text(**TEXT_CODEC).splitlines(), 1):
+        line = text_line(path, lineno, raw).strip()
         if not line or line.startswith("#"):
             continue
         try:
@@ -260,7 +260,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # Write beside the target and rename over it, so that a failed or
     # interrupted run leaves no partial file and any older file intact.
     tmp = f"{args.output_path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x")
+    fh = open(tmp, "x", **TEXT_CODEC)  # a path byte from argv is written back as itself
     try:
         with fh:
             _write_rows(fh, args.output_format, columns, run.header, run.meta)

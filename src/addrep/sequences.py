@@ -12,6 +12,7 @@ explicit term lists or arrays, or loaded from a small text format.  A file
 whose body is plain, one term of 1 to 18 ASCII digits per ``\n``-ended
 line, is parsed as fixed-width digit blocks from the byte its header ends
 at; every other form goes through numpy's parser, with the same errors.
+Files are UTF-8 whatever the locale, past a leading BOM (TEXT_CODEC, text_line).
 
 SieveTables holds the sorted primes up to its limit and answers the
 prime counting function pi(x) by binary search; semiprime counting
@@ -61,6 +62,9 @@ _PLAIN_DIGITS = 18
 # The sieve clears this many flags (512 kB) at a time, a block that stays in
 # a core's L2 cache (see _odd_prime_flags).
 _SIEVE_BLOCK = 1 << 19
+
+# Every file's codec: a byte that is not UTF-8 round-trips as a lone surrogate.
+TEXT_CODEC = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 # pi_hardy_wright evaluates (j-2)! exactly; the cap keeps that affordable.
 HARDY_WRIGHT_CAP = 40
@@ -499,12 +503,12 @@ def intersect(a: ParitySequence, b: ParitySequence) -> ParitySequence:
 def load_sequence(path, limit: int | None = None) -> ParitySequence:
     """Load a sequence from a text file.
 
-    Format: a header line ``parity: odd`` or ``parity: even``, then one
-    integer per line in strictly increasing order.  Blank lines and text
-    after ``#`` are ignored.  When ``limit`` is given, terms beyond it are
-    dropped once every term of the file has passed the order and parity
-    checks; otherwise the limit is the largest term (0 when no term is
-    positive).
+    Format (UTF-8, see text_line): a header line ``parity: odd`` or ``parity:
+    even``, then one integer per line in strictly increasing order.  Blank
+    lines and text after ``#`` are ignored.  When ``limit`` is given, terms
+    beyond it are dropped once every term of the file has passed the order
+    and parity checks; otherwise the limit is the largest term (0 when no
+    term is positive).
 
     A plain body, every line after the header 1 to 18 ASCII digits ending
     in ``\n``, is parsed in blocks straight from the file's bytes (see
@@ -517,19 +521,17 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     # Lines end at \n, \r\n or a lone \r, as in np.loadtxt, and keep their ends,
     # so their bytes sum to the body's offset (text-mode tell() gives none).
     start = 0
-    with path.open(newline="") as fh:
+    with path.open(newline="", **TEXT_CODEC) as fh:
         for lineno, raw in enumerate(fh, 1):
-            start += len(raw.encode(fh.encoding))
-            line = raw.partition("#")[0].strip()
+            start += len(raw.encode(**TEXT_CODEC))
+            line = text_line(path, lineno, raw).partition("#")[0].strip()
             if line:
                 break
         else:
             raise SequenceFormatError(f"{path}: missing 'parity:' header")
         key, _, value = line.partition(":")
         if key.strip().lower() != "parity":
-            raise SequenceFormatError(
-                f"{path}:{lineno}: expected 'parity: odd|even' header"
-            )
+            raise SequenceFormatError(f"{path}:{lineno}: expected 'parity: odd|even' header")
         value = value.strip().lower()
         if value not in ("odd", "even"):
             raise SequenceFormatError(f"{path}:{lineno}: bad parity {value!r}")
@@ -539,21 +541,25 @@ def load_sequence(path, limit: int | None = None) -> ParitySequence:
     parity = Parity(value)
     if limit is None:
         limit = max(int(terms.max()), 0) if terms.size else 0
-    else:
-        # Each term is checked once, so a fault past the limit is not hidden:
-        # the kept prefix by the constructor, the dropped rest, with the pair
-        # across the cut, here.  A binary search gives terms[k - 1] <= limit
-        # < terms[k] in any array, so a kept term past the limit means an
-        # order fault before the cut, which a check without a limit names.
-        k = int(terms.searchsorted(limit, side="right"))
-        try:
-            seq = ParitySequence(terms[:k], parity, limit)
-        except LimitExceededError:
-            _check_terms(terms[:k], parity, np.iinfo(np.int64).max)
-            raise
-        _check_terms(terms[max(k - 1, 0):], parity, np.iinfo(np.int64).max)
-        return seq
-    return ParitySequence(terms, parity, limit)
+    # Each term is checked once, so a fault past the limit is not hidden: the kept prefix
+    # by the constructor, the dropped rest, with the pair across the cut, here.  A binary
+    # search gives terms[k - 1] <= limit < terms[k] in any array, so a kept term past the
+    # limit means an order fault before the cut, which a check without a limit names.
+    k = int(terms.searchsorted(limit, side="right"))
+    try:
+        seq = ParitySequence(terms[:k], parity, limit)
+    except LimitExceededError:
+        _check_terms(terms[:k], parity, np.iinfo(np.int64).max)
+        raise
+    _check_terms(terms[max(k - 1, 0):], parity, np.iinfo(np.int64).max)
+    return seq
+
+
+def text_line(path, lineno: int, raw: str) -> str:
+    """``raw``, line ``lineno`` of ``path``, less a BOM opening line 1; refuses a non-UTF-8 byte."""
+    if stray := re.search("[\udc80-\udcff]", raw):  # surrogateescape's stray bytes
+        raise SequenceFormatError(f"{path}:{lineno}: byte {ord(stray[0]) & 0xFF:#04x} is not UTF-8")
+    return raw.removeprefix("\ufeff") if lineno == 1 else raw
 
 
 def _plain_terms(path: Path, start: int) -> np.ndarray | None:
@@ -631,9 +637,8 @@ def _loadtxt_terms(path: Path, header_lineno: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file with no terms
         try:
-            rows = np.loadtxt(
-                path, dtype=np.int64, comments="#", ndmin=2, skiprows=header_lineno
-            )
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                              skiprows=header_lineno, encoding=TEXT_CODEC["encoding"])
         except ValueError:
             rows = None
     if rows is None or rows.shape[1] != 1:
@@ -647,11 +652,11 @@ def _bad_term_line(path: Path, header_lineno: int) -> SequenceFormatError:
     A line is judged as numpy's parser reads it: after its comment and the
     whitespace around it are stripped, it must be empty or an optional
     sign and ASCII digits, of a value in int64's range.  Lines end where
-    text mode ends them.
+    text mode ends them; a byte that is not UTF-8 raises (see text_line).
     """
-    lines = path.read_text().split("\n")[header_lineno:]
+    lines = path.read_text(**TEXT_CODEC).split("\n")[header_lineno:]
     for lineno, raw in enumerate(lines, header_lineno + 1):
-        line = raw.partition("#")[0].strip()
+        line = text_line(path, lineno, raw).partition("#")[0].strip()
         if not line:
             continue
         if not re.fullmatch(r"[+-]?[0-9]+", line):

@@ -17,6 +17,21 @@ LEMOINE_26 = [0, 0, 0, 1, 2, 2, 2, 2, 4, 2, 3, 3, 3, 4, 4, 2, 5, 3, 4, 4,
 TWO_TRIANGULAR_26 = [1, 1, 1, 1, 1, 0, 2, 1, 0, 1, 1, 1, 1, 1, 0, 1, 2, 0,
                      1, 0, 1, 2, 1, 0, 1, 1]
 
+# Sequence files under the text rule (UTF-8, a leading BOM skipped).  A BOM
+# file loads to [1, 3]; each other file holds the byte 0xff, which is not
+# UTF-8, in one place a file can hold text, and maps to the line it is on.
+BOM_FILE = b"\xef\xbb\xbfparity: odd\n1\n3\n"
+_BODY_PAST_8K = "".join(f"{t}\n" for t in range(1, 6001, 2)).encode()  # 14 kB
+STRAY_BYTE_FILES = {
+    "header-line": (b"parity: o\xffdd\n1\n", 1),
+    "header-comment": (b"# made by hand\xff\nparity: odd\n1\n", 1),
+    "header-line-comment": (b"parity: odd # \xff\n1\n", 1),
+    "body-line": (b"parity: odd\n1\n3\xff\n5\n", 3),
+    "body-line-past-8k": (b"parity: odd\n" + _BODY_PAST_8K + b"6001\xff\n", 3002),
+    "body-comment": (b"parity: odd\n1\n3 # \xff\n5\n", 3),
+}
+
+
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -16,6 +16,7 @@ from addrep.cli import (
     main,
     read_bfile,
 )
+from conftest import BOM_FILE, STRAY_BYTE_FILES
 
 
 def _odd_file(tmp_path, name="odd.txt", last=9):
@@ -588,6 +589,76 @@ def test_read_bfile_reports_malformed_line(tmp_path, line):
     path.write_text(f"# header\n1 0\n{line}\n")
     with pytest.raises(SequenceFormatError, match=rf"b\.txt:3: "):
         read_bfile(path)
+
+
+def test_read_bfile_follows_the_text_rule(tmp_path):
+    from addrep.errors import SequenceFormatError
+
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 0\n# caf\xc3\xa9\n2 1\n")
+    assert read_bfile(path) == [(1, 0), (2, 1)]
+    path.write_bytes(b"1 0\n# caf\xe9\n2 1\n")  # latin-1
+    with pytest.raises(SequenceFormatError, match=r"b\.txt:2: byte 0xe9 is not UTF-8"):
+        read_bfile(path)
+
+
+# --- the text rule through the CLI ------------------------------------------------
+
+def test_a_bom_file_runs_through_compute(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bom.txt").write_bytes(BOM_FILE)
+    (tmp_path / "plain.txt").write_bytes(BOM_FILE[3:])
+    rows = {}
+    for name in ("bom.txt", "plain.txt"):
+        code = main(["compute", "--problem", "custom", "--seq-a", name,
+                     "--seq-b", "plain.txt", "--x-max", "6"])
+        assert code == EXIT_OK
+        rows[name] = [ln for ln in capsys.readouterr().out.splitlines() if ln[0] != "#"]
+    assert rows["bom.txt"] == rows["plain.txt"] == ["2 1", "4 1", "6 1"]
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_BYTE_FILES))
+def test_a_stray_byte_exits_2_naming_its_line(tmp_path, capsys, case):
+    data, lineno = STRAY_BYTE_FILES[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    code = main(["compute", "--problem", "custom", "--seq-a", _odd_file(tmp_path),
+                 "--seq-b", str(bad), "--x-max", "6"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {bad}:{lineno}: byte 0xff is not UTF-8\n"
+
+
+def test_the_cli_keeps_the_text_rule_under_the_c_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, Python's default text codec is
+    # ASCII.  The --out file must still take a non-ASCII path in its header,
+    # byte for byte as in the default environment, and a stray byte must
+    # still be named with its line.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "café.txt").write_bytes("# café\nparity: odd\n1\n3\n".encode())
+    (tmp_path / "bad.txt").write_bytes(STRAY_BYTE_FILES["body-comment"][0])
+    _odd_file(tmp_path, "ok.txt", last=5)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    c_locale = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+    def run(seq_a, out, **env):
+        argv = ["compute", "--problem", "custom", "--seq-a", seq_a, "--seq-b", "ok.txt",
+                "--x-max", "6"] + (["--out", out] if out else [])
+        return subprocess.run([sys.executable, "-m", "addrep.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True)
+
+    written = {}
+    for name, env in (("default", {}), ("c", c_locale)):
+        done = run("café.txt", f"{name}.txt", **env)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b""), name
+        written[name] = (tmp_path / f"{name}.txt").read_bytes()
+    assert written["c"] == written["default"]
+    assert "# seq-a: café.txt  seq-b: ok.txt\n".encode() in written["c"]
+    done = run("bad.txt", None, **c_locale)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"error: bad.txt:3: byte 0xff is not UTF-8\n"
 
 
 def test_bare_memory_error_exits_with_resource_code(monkeypatch, capsys):

@@ -140,11 +140,15 @@ _FIXED_A = {
 }
 
 
-def test_fixed_pairs_against_brute_force():
+@pytest.mark.parametrize("chunk", [convolution._CHUNK, 1, 2, 3, 5])
+def test_fixed_pairs_against_brute_force(monkeypatch, chunk):
     # Every kind and relation by both forced routes, the transforms cut into
     # 1, 2 and 3 blocks (the last one short) and into one block per target;
     # equal sequences also run as a pair.  A fast check of what the
-    # property tests below check over drawn pairs.
+    # property tests below check over drawn pairs.  Each diagonal is summed
+    # over chunks of ``chunk`` spectrum entries; a block's spectrum holds 1
+    # to 23 here, so small chunks leave the last one short.
+    monkeypatch.setattr(convolution, "_CHUNK", chunk)
     limit = 41
     for kind in EvaluatorKind:
         pa, pb = kind.parities

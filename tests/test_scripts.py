@@ -38,3 +38,14 @@ def test_bench_engine_finds_one_tree_identical_to_itself(tmp_path):
     assert [(row["side"], row["identical"]) for row in record["summary"]] == [
         ("a", True), ("b", True)]
     assert [row["side"] for row in record["runs"]] == ["a", "b"]
+
+
+
+def test_bench_engine_times_the_diagonal(tmp_path):
+    # goldbach at n = 2000 pairs some 550 odd primes: the transform route.
+    out = tmp_path / "engine.json"
+    run_script("bench_engine.py", "--tree", f"a={ROOT}", "--tree", f"b={ROOT}",
+               "--problems", "goldbach", "--sizes", 2000, "--runs", 1, "--out", out)
+    record = json.loads(out.read_text())
+    assert all(row["diagonal_s"] > 0 for row in record["runs"])
+    assert all(row["identical"] and row["diagonal_s_median"] > 0 for row in record["summary"])

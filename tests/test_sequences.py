@@ -1,7 +1,12 @@
 import bisect
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,7 +40,13 @@ from addrep.sequences import (
     pronic_count,
     semiprime_count,
 )
-from conftest import factor_count, trial_division_is_prime, trial_division_pi
+from conftest import (
+    BOM_FILE,
+    STRAY_BYTE_FILES,
+    factor_count,
+    trial_division_is_prime,
+    trial_division_pi,
+)
 
 
 # --- sieve and pi ---------------------------------------------------------
@@ -1012,3 +1023,68 @@ def test_load_sequence_header_comment_right_after_the_colon(tmp_path):
     path.write_text("parity:# even\n0\n4\n")
     with pytest.raises(SequenceFormatError, match=r"f\.txt:1: bad parity ''"):
         load_sequence(path)
+
+
+# --- the text rule: UTF-8 whatever the locale, past a leading BOM -------------
+
+@pytest.mark.parametrize(
+    "data",
+    [BOM_FILE, b"\xef\xbb\xbf# made by hand\r\nparity: odd\r\n1\r\n3\r\n",
+     b"\xef\xbb\xbf\nparity: odd\n1\n3 # three\n"],
+    ids=["header", "comment-crlf", "blank-loadtxt"],
+)
+def test_a_leading_bom_is_skipped(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    seq = load_sequence(path)
+    assert seq.terms.tolist() == [1, 3] and seq.parity is Parity.ODD
+
+
+def test_a_bom_past_the_first_byte_is_text(tmp_path):
+    # U+FEFF anywhere else is a character like any other, as before the rule.
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"# made by hand\n\xef\xbb\xbfparity: odd\n1\n")
+    with pytest.raises(SequenceFormatError, match=r"f\.txt:2: expected 'parity: odd\|even'"):
+        load_sequence(path)
+
+
+@pytest.mark.parametrize("limit", [None, 4])
+@pytest.mark.parametrize("case", sorted(STRAY_BYTE_FILES))
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(tmp_path, case, limit):
+    data, lineno = STRAY_BYTE_FILES[case]
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(SequenceFormatError) as exc:
+        load_sequence(path, limit=limit)
+    assert str(exc.value) == f"{path}:{lineno}: byte 0xff is not UTF-8"
+
+
+def test_the_text_rule_holds_under_the_c_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, Python's default text codec is
+    # ASCII; the reader must not use it.
+    files = {"bom": BOM_FILE, "cafe": "# café\nparity: odd\n1\n3\n".encode(),
+             **{case: data for case, (data, _) in STRAY_BYTE_FILES.items()}}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    script = (
+        "import json, sys\n"
+        "from addrep.sequences import load_sequence\n"
+        "out = {}\n"
+        "for path in sys.argv[1:]:\n"
+        "    try:\n"
+        "        out[path] = load_sequence(path).terms.tolist()\n"
+        "    except Exception as exc:\n"
+        "        out[path] = [type(exc).__name__, str(exc)]\n"
+        "print(json.dumps(out))\n"
+    )
+    paths = [str(tmp_path / name) for name in files]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    for path in paths:
+        want = _load_outcome(path)  # (terms, parity, limit) or (error type, message)
+        want = want[0] if isinstance(want[0], list) else [want[0].__name__, want[1]]
+        assert got[path] == want, path
+    assert got[paths[0]] == got[paths[1]] == [1, 3]
