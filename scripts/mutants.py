@@ -53,6 +53,8 @@ _SEQUENCES = "src/addrep/sequences.py"
 # a second, before the property tests' drawn examples.
 _FIXED = "tests/test_convolution.py::test_fixed_pairs_against_brute_force"
 _THRESHOLD = "tests/test_convolution.py::test_route_threshold_is_shifted_adds_per_side"
+_ARGV_PATH = ("tests/test_cli.py::"
+              "test_error_lines_name_an_argv_path_as_given_under_the_c_locale")
 _PLAIN_HEADS = "tests/test_sequences.py::test_plain_bodies_take_the_block_parser"
 _BLOCK_TESTS = (
     "tests/test_sequences.py::test_validation_matches_a_per_term_mask_scan",
@@ -402,6 +404,18 @@ MUTANTS = (
         '"out of memory"',
         ("tests/test_cli.py::test_bare_memory_error_exits_with_resource_code",
          "tests/test_cli.py::test_bare_memory_error_in_the_engine_names_its_module"),
+    ),
+    Mutant(
+        "cli: error line through backslashreplace", "src/addrep/cli.py",
+        "sys.stderr.reconfigure(**TEXT_CODEC)",
+        'sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")',
+        (_ARGV_PATH,),
+    ),
+    Mutant(
+        "cli: error line keeps repr's escape of an argv byte", "src/addrep/cli.py",
+        "lambda m: m[1] or chr(int(m[2], 16))",
+        "lambda m: m[0]",
+        (_ARGV_PATH,),
     ),
 )
 

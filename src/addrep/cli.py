@@ -1,8 +1,8 @@
-"""Command line front end: compute, verify and benchmark count series.
+"""Command line front end: compute and verify count series.
 
-Every command resolves ``--problem`` to a ``ProblemSpec`` and a route and
-runs it through ``ProblemSpec.counts``: a built-in problem, or for compute
-and verify a custom pair of sequence files.
+Both commands resolve ``--problem`` to a ``ProblemSpec`` and a route and
+run it through ``ProblemSpec.counts``: a built-in problem, or a custom
+pair of sequence files.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 resource limit.  ``main`` returns the code; the process entry point,
 ``console_main``, flushes the output and ends the process at once.
@@ -13,21 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-import time
 from pathlib import Path
 from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .applications import PROBLEMS, ProblemSpec, custom_problem
-from .errors import (
-    AddrepError,
-    LimitExceededError,
-    LimitMismatchError,
-    SequenceFormatError,
-)
-from .sequences import DEFAULT_TABLE_CAP, TEXT_CODEC, check_table_budget, load_sequence, text_line
+from .errors import AddrepError, LimitExceededError, LimitMismatchError
+from .sequences import DEFAULT_TABLE_CAP, TEXT_CODEC, check_table_budget, load_sequence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,15 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
         return int(text)
 
-    def add_common(sp, custom: bool):  # a flag belongs to the commands that read it
-        sp.add_argument("--problem", required=True, choices=sorted(PROBLEMS) + ["custom"] * custom)
+    def add_common(sp):
+        sp.add_argument("--problem", required=True, choices=sorted(PROBLEMS) + ["custom"])
         sp.add_argument("--n-max", type=int, help="last index n (built-in problems)")
-        if custom:
-            sp.add_argument("--x-max", type=int,
-                            help="bound on the targets x (custom runs): the last row is "
-                            "the largest target on the pair's lattice up to it")
-            sp.add_argument("--seq-a", help="sequence file for the first role")
-            sp.add_argument("--seq-b", help="sequence file for the second role")
+        sp.add_argument("--x-max", type=int,
+                        help="bound on the targets x (custom runs): the last row is "
+                        "the largest target on the pair's lattice up to it")
+        sp.add_argument("--seq-a", help="sequence file for the first role")
+        sp.add_argument("--seq-b", help="sequence file for the second role")
         sp.add_argument(
             "--limit",
             type=cap,
@@ -77,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     compute = sub.add_parser("compute", help="compute a count series and write it out")
-    add_common(compute, custom=True)
+    add_common(compute)
     compute.add_argument(
         "--format",
         dest="output_format",
@@ -87,15 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--out", dest="output_path", default="-", help="output path, - for stdout")
 
     verify = sub.add_parser("verify", help="check a series term by term against brute force")
-    bench = sub.add_parser("bench", help="time every route of a problem at geometric steps")
-    for sp in (verify, bench):
-        add_common(sp, custom=sp is verify)
-        sp.add_argument(
-            "--oracle-cap",
-            type=cap,
-            default=DEFAULT_ORACLE_CAP,
-            help="largest target x the brute-force oracle will sweep",
-        )
+    add_common(verify)
+    verify.add_argument(
+        "--oracle-cap",
+        type=cap,
+        default=DEFAULT_ORACLE_CAP,
+        help="largest target x the brute-force oracle will sweep",
+    )
     return parser
 
 
@@ -137,7 +129,7 @@ def _problem(
         meta = {"problem": "custom", "kind": spec.parts[0][0].value}
     else:
         for flag in ("x_max", "seq_a", "seq_b"):
-            if getattr(args, flag, None) is not None:  # bench has no custom flags
+            if getattr(args, flag) is not None:
                 raise CliUsageError(
                     f"--{flag.replace('_', '-')} applies to custom runs only, "
                     f"not to {args.problem!r}"
@@ -233,23 +225,6 @@ def write_json(fh, columns, meta) -> None:
     fh.write("\n  ]\n}\n")
 
 
-def read_bfile(path) -> list[tuple[int, int]]:
-    """Parse 'n a(n)' lines by the text rule, skipping blanks and '#' comments."""
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(**TEXT_CODEC).splitlines(), 1):
-        line = text_line(path, lineno, raw).strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            n_str, v_str = line.split()
-            rows.append((int(n_str), int(v_str)))
-        except ValueError:
-            raise SequenceFormatError(
-                f"{path}:{lineno}: expected 'n a(n)', got {line!r}"
-            ) from None
-    return rows
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     run = _problem(args)
     counts = run.spec.counts(run.n_max, run.route, run.spec.sieve(run.n_max, args.limit))
@@ -304,65 +279,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_steps(n_start: int, n_max: int) -> list[int]:
-    # Geometric steps doubling from 10 (or the first valid index) to n_max.
-    steps, v = [], max(n_start, 1, min(10, n_max))
-    while v < n_max:
-        steps.append(v)
-        v *= 2
-    steps.append(n_max)
-    return sorted(set(steps))
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    run = _problem(args, default_n=1000)
-    spec = run.spec
-    routes = ("engine", "recursion", "oracle")
-    lemma_column = spec.name == "two-squares"
-    header = ["n_max"] + [f"{route}_s" for route in routes]
-    print(",".join(header + ["bijection_check"] * lemma_column))
-    steps = _bench_steps(spec.n_start, run.n_max)
-
-    def skipped(route, n):
-        return route == "oracle" and spec.x_of_n(n) > args.oracle_cap
-
-    # One small transform (importing numpy.fft) and one untimed call per route
-    # first, so that one-off setup stays out of the first row.
-    np.fft.rfft(np.ones(2))
-    for route in routes:
-        if not skipped(route, steps[0]):
-            spec.counts(steps[0], route, spec.sieve(steps[0], args.limit))
-    for n in steps:
-        row, values = [str(n)], {}
-        for route in routes:
-            if skipped(route, n):
-                row.append("")
-                continue
-            t0 = time.perf_counter()
-            values[route] = spec.counts(n, route, spec.sieve(n, args.limit))
-            row.append(f"{time.perf_counter() - t0:.6f}")
-        if lemma_column:
-            ok = np.array_equal(values["recursion"], PROBLEMS["two-triangular"].counts(n))
-            row.append("OK" if ok else "FAIL")
-        print(",".join(row))
-        # Every route that ran must give the engine's counts.
-        engine = values["engine"]
-        differing = [route for route, got in values.items() if not np.array_equal(got, engine)]
-        for route in differing:
-            i = np.flatnonzero(values[route] != engine)[0]
-            k = spec.n_start + i
-            print(f"bench {spec.name} n_max={n}: {route} differs from engine first at "
-                  f"n={k} x={spec.x_of_n(k)} (engine {engine[i]} vs {route} {values[route][i]})",
-                  file=sys.stderr)
-        if differing:
-            return EXIT_MISMATCH
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"compute": cmd_compute, "verify": cmd_verify, "bench": cmd_bench}
+    handlers = {"compute": cmd_compute, "verify": cmd_verify}
     try:
         code = handlers[args.command](args)
         sys.stdout.flush()
@@ -374,13 +294,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MemoryError, LimitExceededError, LimitMismatchError) as exc:
         # MemoryError covers ResourceBudgetError and numpy's failed allocations.
-        print(f"error: {str(exc) or _out_of_memory(exc)}", file=sys.stderr)
+        _error(str(exc) or _out_of_memory(exc))
         return EXIT_RESOURCE
     except (CliUsageError, ValueError, OSError) as exc:
         # ValueError covers SequenceFormatError, ParityMismatchError and
         # ContainmentError.
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
+
+
+def _error(message: str) -> None:
+    """Print ``error: message`` to stderr, each path byte from argv as given.
+    Such a byte is a surrogate (surrogateescape); where an OSError's ``repr`` of
+    its path spelled it '\\udcc3', the surrogate is put back (an escaped
+    backslash stays as it is), and ``console_main``'s stderr writes it as the byte."""
+    message = re.sub(r"(\\\\)|\\u(dc[89a-f][0-9a-f])",
+                     lambda m: m[1] or chr(int(m[2], 16)), message)
+    print(f"error: {message}", file=sys.stderr)
 
 
 def _out_of_memory(exc: MemoryError) -> str:
@@ -398,12 +328,15 @@ def console_main() -> NoReturn:
     """The process entry point: ``python -m addrep.cli`` and the installed
     ``addrep`` script.
 
-    Runs ``main``, flushes stdout and stderr and ends the process with
+    Writes stderr by the text rule of every file the CLI writes (UTF-8, an
+    argv byte written back as itself, whatever the locale), runs ``main``,
+    flushes stdout and stderr and ends the process with
     ``os._exit``.  That skips the interpreter's teardown, which spends some
     35 ms freeing numpy's objects, and runs no atexit hooks; every file the
     run wrote is closed by then.  An exception that escapes ``main`` ends
     the process the normal way, with its traceback.
     """
+    sys.stderr.reconfigure(**TEXT_CODEC)
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -6,6 +6,7 @@ import pytest
 
 from addrep import applications, convolution, recursion
 from addrep.applications import PROBLEMS, custom_problem
+from addrep.cli import DEFAULT_ORACLE_CAP
 from addrep.errors import LimitExceededError, ParityMismatchError
 from addrep.oracle import count_two_squares
 from addrep.recursion import EvaluatorKind, Formula, RecursionEvaluator
@@ -177,9 +178,11 @@ def test_custom_pair_of_equal_files_keeps_the_general_formula(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_recursion_equals_engine_at_n_2000(name):
+def test_recursion_equals_engine_past_the_oracle_cap(name):
+    # The whole series, its last targets past verify's default --oracle-cap.
     spec = PROBLEMS[name]
-    assert spec.counts(2000, "recursion").tolist() == spec.counts(2000).tolist()
+    assert spec.x_of_n(10**4) > DEFAULT_ORACLE_CAP
+    assert spec.counts(10**4, "recursion").tolist() == spec.counts(10**4).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

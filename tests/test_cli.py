@@ -14,7 +14,6 @@ from addrep.cli import (
     EXIT_USAGE,
     build_parser,
     main,
-    read_bfile,
 )
 from conftest import BOM_FILE, STRAY_BYTE_FILES
 
@@ -38,21 +37,6 @@ def _rig_oracle(monkeypatch, index):
         return series
 
     monkeypatch.setattr(applications, "brute_count_series", broken_oracle)
-
-
-def _rig_recursion(monkeypatch, index):
-    """Add 1 to entry ``index`` of every series the recursion route reads."""
-    import addrep.applications as applications
-    from addrep.recursion import CountSeries
-
-    class BrokenEvaluator(applications.RecursionEvaluator):
-        def run_to(self, x_max):
-            series = super().run_to(x_max)
-            values = list(series.values)
-            values[index] += 1
-            return CountSeries(series.base, values)
-
-    monkeypatch.setattr(applications, "RecursionEvaluator", BrokenEvaluator)
 
 
 # --- compute -----------------------------------------------------------------
@@ -93,7 +77,8 @@ def test_compute_bfile_roundtrip(tmp_path):
     from addrep.applications import goldbach
 
     series = goldbach(40)
-    assert read_bfile(out) == list(zip(range(1, 41), series.values))
+    rows = [line.split() for line in out.read_text().splitlines() if line[0] != "#"]
+    assert [(int(n), int(v)) for n, v in rows] == list(zip(range(1, 41), series.values))
 
 
 def test_compute_csv_and_json(tmp_path):
@@ -133,20 +118,14 @@ def test_oracle_cap_belongs_to_the_oracle_commands(capsys):
         main(["compute", "--problem", "goldbach", "--n-max", "5", "--oracle-cap", "3"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --oracle-cap 3" in capsys.readouterr().err
-    for command in ("verify", "bench"):
-        args = build_parser().parse_args([command, "--problem", "goldbach", "--oracle-cap", "3"])
-        assert args.oracle_cap == 3
+    args = build_parser().parse_args(["verify", "--problem", "goldbach", "--oracle-cap", "3"])
+    assert args.oracle_cap == 3
 
 
 @pytest.mark.parametrize("flag, value, parsed", [
     ("--x-max", "3", 3), ("--seq-a", "a.txt", "a.txt"), ("--seq-b", "b.txt", "b.txt"),
 ])
-def test_custom_flags_belong_to_compute_and_verify(capsys, flag, value, parsed):
-    # bench times built-in problems only, so the flag is argparse's unknown argument.
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--problem", "goldbach", "--n-max", "5", flag, value])
-    assert exc.value.code == EXIT_USAGE
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+def test_custom_flags_belong_to_compute_and_verify(flag, value, parsed):
     for command in ("compute", "verify"):
         args = build_parser().parse_args([command, "--problem", "custom", flag, value])
         assert getattr(args, flag[2:].replace("-", "_")) == parsed
@@ -387,111 +366,7 @@ def test_verify_custom_mismatch_names_the_recursion(tmp_path, monkeypatch, capsy
     assert "(recursion 2 vs oracle 3)" in captured.err
 
 
-# --- bench ----------------------------------------------------------------------
-
-def test_bench_smoke(capsys):
-    code = main(["bench", "--problem", "goldbach", "--n-max", "40"])
-    assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n_max,engine_s,recursion_s,oracle_s"
-    assert lines[-1].startswith("40,")
-    for line in lines[1:]:
-        assert float(line.split(",")[1]) >= 0.0
-
-
-def test_bench_leaves_the_oracle_cell_empty_past_the_cap(capsys):
-    # n = 40 is x = 80, past the cap of 50; n = 10 and 20 are within it.
-    code = main(["bench", "--problem", "goldbach", "--n-max", "40", "--oracle-cap", "50"])
-    assert code == EXIT_OK
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["10", "20", "40"]
-    assert [row[3] == "" for row in rows] == [False, False, True]
-
-
-def test_bench_two_squares_bijection_column(capsys):
-    code = main(["bench", "--problem", "two-squares", "--n-max", "64"])
-    assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith(",bijection_check")
-    assert all(line.endswith(",OK") for line in lines[1:])
-
-
-@pytest.mark.parametrize("route, rig", [("recursion", _rig_recursion),
-                                         ("oracle", _rig_oracle)])
-def test_bench_stops_at_the_first_row_where_a_route_differs(route, rig, monkeypatch,
-                                                            capsys):
-    rig(monkeypatch, 3)
-    assert main(["bench", "--problem", "goldbach", "--n-max", "40"]) == EXIT_MISMATCH
-    captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert lines[0] == "n_max,engine_s,recursion_s,oracle_s"
-    assert len(lines) == 2 and lines[1].startswith("10,")
-    assert captured.err == (f"bench goldbach n_max=10: {route} differs from engine first "
-                            f"at n=4 x=8 (engine 1 vs {route} 2)\n")
-
-
-def test_bench_times_each_route_from_its_second_call(monkeypatch, capsys):
-    import time
-    import types
-
-    import addrep.cli as cli
-    from addrep.applications import ProblemSpec
-
-    events = ["start"]
-    counts = ProblemSpec.counts
-
-    def spy(spec, n_max, route="engine", tables=None):
-        events.append(route)
-        return counts(spec, n_max, route, tables)
-
-    def clock():
-        events.append("clock")
-        return time.perf_counter()
-
-    monkeypatch.setattr(ProblemSpec, "counts", spy)
-    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock))
-    assert main(["bench", "--problem", "goldbach", "--n-max", "40"]) == EXIT_OK
-    for route in ("engine", "recursion", "oracle"):
-        calls = [i for i, event in enumerate(events) if event == route]
-        timed = [k for k, i in enumerate(calls) if events[i - 1] == "clock"]
-        assert timed[0] == 1, route
-
-
-def test_bench_loads_the_fft_module_before_its_first_timed_row():
-    # The first rows take the engine's shifts route, so a module loaded at
-    # the first transform would land in a later row's time.
-    script = (
-        "import sys, time\n"
-        "from addrep.cli import main\n"
-        "clock, loaded = time.perf_counter, []\n"
-        "def spy():\n"
-        "    loaded.append('numpy.fft' in sys.modules)\n"
-        "    return clock()\n"
-        "time.perf_counter = spy\n"
-        "code = main(['bench', '--problem', 'goldbach', '--n-max', '40'])\n"
-        "print(code, loaded[0], file=sys.stderr)\n"
-    )
-    done = _run_python("-c", script)
-    assert done.stderr.decode().split() == ["0", "True"], done.stderr
-
-
-def test_bench_builds_its_sieves_under_the_limit(monkeypatch, capsys):
-    import addrep.applications as applications
-    import addrep.sequences as sequences
-
-    build_sieve = sequences.build_sieve
-    caps = []
-
-    def spy(limit, cap=sequences.DEFAULT_TABLE_CAP):
-        caps.append(cap)
-        return build_sieve(limit, cap)
-
-    monkeypatch.setattr(applications, "build_sieve", spy)
-    monkeypatch.setattr(sequences, "build_sieve", spy)
-    code = main(["bench", "--problem", "goldbach", "--n-max", "40", "--limit", "100"])
-    assert code == EXIT_OK
-    assert caps and set(caps) == {100}
-
+# --- robustness -------------------------------------------------------------------
 
 def test_closed_stdout_ends_quietly():
     import os
@@ -515,15 +390,6 @@ def test_closed_stdout_ends_quietly():
     assert proc.wait(timeout=60) == EXIT_USAGE
     assert err == b""
 
-
-def test_bench_rejects_custom(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--problem", "custom"])
-    assert exc.value.code == EXIT_USAGE
-    assert "invalid choice: 'custom'" in capsys.readouterr().err
-
-
-# --- robustness -------------------------------------------------------------------
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     import addrep.cli as cli
@@ -579,27 +445,6 @@ def test_rounding_guard_exits_with_resource_code(monkeypatch, capsys):
         code = main(["compute", "--problem", "goldbach", "--n-max", "30"])
         assert code == EXIT_RESOURCE
         assert "away from an integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["5", "5 6 7", "5 x"])
-def test_read_bfile_reports_malformed_line(tmp_path, line):
-    from addrep.errors import SequenceFormatError
-
-    path = tmp_path / "b.txt"
-    path.write_text(f"# header\n1 0\n{line}\n")
-    with pytest.raises(SequenceFormatError, match=rf"b\.txt:3: "):
-        read_bfile(path)
-
-
-def test_read_bfile_follows_the_text_rule(tmp_path):
-    from addrep.errors import SequenceFormatError
-
-    path = tmp_path / "b.txt"
-    path.write_bytes(b"\xef\xbb\xbf1 0\n# caf\xc3\xa9\n2 1\n")
-    assert read_bfile(path) == [(1, 0), (2, 1)]
-    path.write_bytes(b"1 0\n# caf\xe9\n2 1\n")  # latin-1
-    with pytest.raises(SequenceFormatError, match=r"b\.txt:2: byte 0xe9 is not UTF-8"):
-        read_bfile(path)
 
 
 # --- the text rule through the CLI ------------------------------------------------
@@ -659,6 +504,23 @@ def test_the_cli_keeps_the_text_rule_under_the_c_locale(tmp_path):
     done = run("bad.txt", None, **c_locale)
     assert done.returncode == EXIT_USAGE
     assert done.stderr == b"error: bad.txt:3: byte 0xff is not UTF-8\n"
+
+
+def test_error_lines_name_an_argv_path_as_given_under_the_c_locale(tmp_path):
+    # An OSError quotes its path by repr, which spells the surrogates of
+    # argv's undecoded bytes as '\udcc3'; stderr must hold the path's own
+    # bytes, as the --out file does.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    done = subprocess.run([sys.executable, "-m", "addrep.cli", "compute", "--problem", "custom",
+                           "--seq-a", "café.txt", "--seq-b", "x.txt", "--x-max", "10"],
+                          cwd=tmp_path, env=env, capture_output=True)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"error: [Errno 2] No such file or directory: 'caf\xc3\xa9.txt'\n"
 
 
 def test_bare_memory_error_exits_with_resource_code(monkeypatch, capsys):
@@ -949,6 +811,25 @@ def test_stdout_gets_the_bytes_of_the_out_file(tmp_path):
     assert to_file.returncode == to_stdout.returncode == EXIT_OK
     assert len(to_stdout.stdout) > 400_000
     assert to_stdout.stdout == out.read_bytes()
+
+
+def test_the_readme_shows_every_command_and_only_commands_that_parse():
+    # The README's command-line block is a contract: each 'addrep' line in it
+    # parses, and each subcommand the parser has is shown there.
+    import argparse
+    import re
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S)[1]
+    parser = build_parser()
+    shown = {parser.parse_args(shlex.split(line)[1:]).command
+             for line in block.splitlines() if line.startswith("addrep ")}
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert shown == set(commands)
 
 
 def test_verify_writes_its_lines_in_blocks(monkeypatch, capsys):
