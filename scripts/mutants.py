@@ -417,6 +417,12 @@ MUTANTS = (
         "lambda m: m[0]",
         (_ARGV_PATH,),
     ),
+    Mutant(
+        "cli: an escaped backslash before 'u' read as an argv byte", "src/addrep/cli.py",
+        r'r"(\\\\)|\\u(dc',
+        r'r"(\\\\(?!u))|\\u(dc',
+        ("tests/test_cli.py::test_error_line_puts_back_only_reprs_escapes_of_argv_bytes",),
+    ),
 )
 
 

@@ -112,6 +112,21 @@ def test_compute_usage_errors(tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_help_lists_exactly_compute_and_verify(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "usage: addrep [-h] {compute,verify} ..."
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "goldbach", "--n-max", "40"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_oracle_cap_belongs_to_the_oracle_commands(capsys):
     # compute runs no oracle, so the flag is argparse's unknown argument.
     with pytest.raises(SystemExit) as exc:
@@ -431,6 +446,23 @@ def test_limit_option_reaches_the_sieve(monkeypatch, capsys):
     assert seen == [(60_000_000, 100_000_000)]
 
 
+def test_limit_option_reaches_the_sieve_in_verify(monkeypatch, capsys):
+    import addrep.applications as applications
+    from addrep.errors import ResourceBudgetError
+
+    seen = []
+
+    def spy(limit, cap):
+        seen.append((limit, cap))
+        raise ResourceBudgetError("stopped before allocating")
+
+    monkeypatch.setattr(applications, "build_sieve", spy)
+    code = main(["verify", "--problem", "goldbach", "--n-max", "30000000",
+                 "--oracle-cap", "60000000", "--limit", "100000000"])
+    assert code == EXIT_RESOURCE
+    assert seen == [(60_000_000, 100_000_000)]
+
+
 def test_rounding_guard_exits_with_resource_code(monkeypatch, capsys):
     import numpy as np
 
@@ -506,21 +538,70 @@ def test_the_cli_keeps_the_text_rule_under_the_c_locale(tmp_path):
     assert done.stderr == b"error: bad.txt:3: byte 0xff is not UTF-8\n"
 
 
-def test_error_lines_name_an_argv_path_as_given_under_the_c_locale(tmp_path):
-    # An OSError quotes its path by repr, which spells the surrogates of
-    # argv's undecoded bytes as '\udcc3'; stderr must hold the path's own
-    # bytes, as the --out file does.
+def _c_locale_run(tmp_path, *argv):
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
-    done = subprocess.run([sys.executable, "-m", "addrep.cli", "compute", "--problem", "custom",
-                           "--seq-a", "café.txt", "--seq-b", "x.txt", "--x-max", "10"],
-                          cwd=tmp_path, env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-m", "addrep.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+
+
+def test_error_lines_name_an_argv_path_as_given_under_the_c_locale(tmp_path):
+    # An OSError quotes its path by repr, which spells the surrogates of
+    # argv's undecoded bytes as '\udcc3'; stderr must hold the path's own
+    # bytes, as the --out file does.
+    done = _c_locale_run(tmp_path, "compute", "--problem", "custom", "--seq-a", "café.txt",
+                         "--seq-b", "x.txt", "--x-max", "10")
     assert done.returncode == EXIT_USAGE
     assert done.stderr == b"error: [Errno 2] No such file or directory: 'caf\xc3\xa9.txt'\n"
+
+
+def test_a_stray_byte_is_named_in_a_non_ascii_file_as_given_under_the_c_locale(tmp_path):
+    # A SequenceFormatError holds the path itself, not its repr.
+    (tmp_path / "café.txt").write_bytes(STRAY_BYTE_FILES["body-comment"][0])
+    _odd_file(tmp_path, "ok.txt", last=5)
+    done = _c_locale_run(tmp_path, "compute", "--problem", "custom", "--seq-a", "café.txt",
+                         "--seq-b", "ok.txt", "--x-max", "6")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"error: caf\xc3\xa9.txt:3: byte 0xff is not UTF-8\n"
+
+
+def test_an_out_path_in_a_missing_directory_is_named_as_given_under_the_c_locale(tmp_path):
+    import re
+
+    done = _c_locale_run(tmp_path, "compute", "--problem", "goldbach", "--n-max", "5",
+                         "--out", "café/g.txt")
+    assert done.returncode == EXIT_USAGE
+    assert re.fullmatch(rb"error: \[Errno 2\] No such file or directory: "
+                        rb"'caf\xc3\xa9/g\.txt\.\d+\.tmp'\n", done.stderr), done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, printed", [
+    pytest.param(str(FileNotFoundError(2, "No such file", "caf\udcc3\udca9.txt")),
+                 "[Errno 2] No such file: 'caf\udcc3\udca9.txt'", id="repr-of-argv-bytes"),
+    pytest.param(str(FileNotFoundError(2, "No such file", "a\\udcc3.txt")),
+                 "[Errno 2] No such file: 'a\\\\udcc3.txt'", id="escaped-backslash"),
+    pytest.param(str(FileNotFoundError(2, "No such file", "a\\\udcc3.txt")),
+                 "[Errno 2] No such file: 'a\\\\\udcc3.txt'", id="backslash-then-argv-byte"),
+    pytest.param(str(FileNotFoundError(2, "No such file", "a\u200b.txt")),
+                 "[Errno 2] No such file: 'a\\u200b.txt'", id="escape-of-a-non-argv-char"),
+    pytest.param("caf\udcc3\udca9.txt:3: byte 0xff is not UTF-8",
+                 "caf\udcc3\udca9.txt:3: byte 0xff is not UTF-8", id="path-held-as-itself"),
+])
+def test_error_line_puts_back_only_reprs_escapes_of_argv_bytes(monkeypatch, message, printed):
+    import io
+    import sys
+
+    from addrep.cli import _error
+
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    _error(message)
+    assert stderr.getvalue() == f"error: {printed}\n"
 
 
 def test_bare_memory_error_exits_with_resource_code(monkeypatch, capsys):
@@ -811,25 +892,6 @@ def test_stdout_gets_the_bytes_of_the_out_file(tmp_path):
     assert to_file.returncode == to_stdout.returncode == EXIT_OK
     assert len(to_stdout.stdout) > 400_000
     assert to_stdout.stdout == out.read_bytes()
-
-
-def test_the_readme_shows_every_command_and_only_commands_that_parse():
-    # The README's command-line block is a contract: each 'addrep' line in it
-    # parses, and each subcommand the parser has is shown there.
-    import argparse
-    import re
-    import shlex
-    from pathlib import Path
-
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Command line\n", 1)[1]
-    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S)[1]
-    parser = build_parser()
-    shown = {parser.parse_args(shlex.split(line)[1:]).command
-             for line in block.splitlines() if line.startswith("addrep ")}
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    assert shown == set(commands)
 
 
 def test_verify_writes_its_lines_in_blocks(monkeypatch, capsys):
